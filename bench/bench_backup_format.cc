@@ -62,15 +62,9 @@ StatusOr<Outcome> Run(BenchEnv* env, BackupFormatKind format,
   }
   Outcome outcome;
   outcome.rows = fresh.RowCount();
-  if (format == BackupFormatKind::kColumnar) {
-    outcome.read_s = result.columnar_stats.read_micros / 1e6;
-    outcome.translate_s = result.columnar_stats.translate_micros / 1e6;
-    outcome.disk_bytes = result.columnar_stats.bytes_read;
-  } else {
-    outcome.read_s = result.disk_stats.read_micros / 1e6;
-    outcome.translate_s = result.disk_stats.translate_micros / 1e6;
-    outcome.disk_bytes = result.disk_stats.bytes_read;
-  }
+  outcome.read_s = result.disk_stats.read_micros / 1e6;
+  outcome.translate_s = result.disk_stats.translate_micros / 1e6;
+  outcome.disk_bytes = result.disk_stats.bytes_read;
   return outcome;
 }
 

@@ -49,7 +49,7 @@ StatusOr<PathTimes> Measure(BenchEnv* env, uint64_t target_disk_bytes,
   config.leaf_id = static_cast<uint32_t>(tag);
   config.backup_dir = backup_dir;
   config.restore.verify_checksums = false;
-  config.disk.throttle_bytes_per_sec = kDiskBytesPerSec;
+  config.restore.disk_throttle_bytes_per_sec = kDiskBytesPerSec;
 
   // Ingest through the backup writer so the disk file is the real format.
   {

@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/restore.h"
+#include "core/restart_manager.h"
 #include "core/shutdown.h"
 
 namespace scuba {
@@ -47,14 +47,14 @@ int Run() {
         return 1;
       }
 
-      RestoreOptions roptions;
-      roptions.namespace_prefix = env.prefix();
-      roptions.leaf_id = leaf_id;
-      roptions.verify_checksums = false;
+      RestartConfig rconfig;
+      rconfig.namespace_prefix = env.prefix();
+      rconfig.leaf_id = leaf_id;
+      rconfig.restore.verify_checksums = false;
       FootprintTracker restore_tracker;
       RestoreStats rstats;
       LeafMap restored;
-      if (!RestoreFromShm(&restored, roptions, &rstats, &restore_tracker)
+      if (!RestoreFromShm(&restored, rconfig, &rstats, &restore_tracker)
                .ok()) {
         return 1;
       }

@@ -14,7 +14,7 @@
 
 #include "bench_util.h"
 #include "core/footprint.h"
-#include "core/restore.h"
+#include "core/restart_manager.h"
 #include "core/shutdown.h"
 #include "obs/metrics.h"
 #include "shm/shm_segment.h"
@@ -115,15 +115,15 @@ int Run(const std::string& json_path) {
     // --- Restore direction --------------------------------------------
     uint64_t shm_bytes =
         TotalShmBytes("/" + env.prefix() + "_leaf_0_");
-    RestoreOptions roptions;
-    roptions.namespace_prefix = env.prefix();
-    roptions.num_copy_threads = threads;
+    RestartConfig rconfig;
+    rconfig.namespace_prefix = env.prefix();
+    rconfig.num_copy_threads = threads;
     uint64_t rbudget = threads > 1 ? threads * shape.max_block_bytes
                                    : shape.max_block_bytes;
     FootprintTracker rtracker;
     RestoreStats rstats;
     LeafMap restored;
-    if (!RestoreFromShm(&restored, roptions, &rstats, &rtracker).ok()) {
+    if (!RestoreFromShm(&restored, rconfig, &rstats, &rtracker).ok()) {
       std::fprintf(stderr, "restore failed (threads=%zu)\n", threads);
       return 1;
     }

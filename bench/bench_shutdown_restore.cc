@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "core/restart_manager.h"
-#include "core/restore.h"
 #include "core/shutdown.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -55,13 +54,13 @@ int Run(const std::string& json_path, bool smoke) {
     shutdown_trace_json = shutdown_tracer.ToJson();
 
     obs::PhaseTracer restore_tracer;
-    RestoreOptions roptions;
-    roptions.namespace_prefix = env.prefix();
-    roptions.verify_checksums = false;  // paper does not checksum
-    roptions.tracer = &restore_tracer;
+    RestartConfig rconfig;
+    rconfig.namespace_prefix = env.prefix();
+    rconfig.restore.verify_checksums = false;  // paper does not checksum
+    rconfig.restore.tracer = &restore_tracer;
     RestoreStats rstats;
     LeafMap restored;
-    if (!RestoreFromShm(&restored, roptions, &rstats).ok()) return 1;
+    if (!RestoreFromShm(&restored, rconfig, &rstats).ok()) return 1;
     restore_trace_json = restore_tracer.ToJson();
 
     last_out_rate = Rate(sstats.bytes_copied, sstats.elapsed_micros);

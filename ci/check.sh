@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: build + test in Release, then rebuild the concurrency-sensitive
-# targets under ThreadSanitizer and run the core/shm/util/query suites
-# (the parallel copy engine's and the parallel query scan's data-race
-# surface).
+# targets under ThreadSanitizer and run the core/shm/util/disk/query suites
+# (the restore engine's — blocking and instant, every source — parallel
+# copy and parallel query scan data-race surface).
 #
 # Usage: ci/check.sh [jobs]
 set -euo pipefail
@@ -203,14 +203,14 @@ cmake --build build-release -j "${JOBS}" --target health_alerts
 ./build-release/examples/health_alerts
 
 echo
-echo "=== TSan build + core/shm/util/query/obs suites ==="
+echo "=== TSan build + core/shm/util/disk/query/obs suites ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCUBA_TSAN=ON \
   >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
-  --target util_test shm_test core_test query_test server_test obs_test \
-  load_test
+  --target util_test shm_test disk_test core_test query_test server_test \
+  obs_test load_test
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'ThreadPool|ParallelFor|ByteBudget|ParallelCopy|ShutdownRestore|Shm|TableSegment|LeafMetadata|ParallelScan|VectorizedDiff|Aggregator|ObsMetrics|ObsTracer|RestartTrace|RestartHeartbeat|StatsExporter|SelfStats|QueryTrace|SlowQueryLog|ProfileDeterminism|PackedKernelFuzz|PackedScan|ResultCache|InstantRestore|SloTracker|Admission|LoadDriver|SnapshotDelta|FlightRecorder|Autopsy|RestartsTable|Hysteresis|AlertEngine|HealthMonitor|AlertsTable'
+  -R 'ThreadPool|ParallelFor|ByteBudget|ParallelCopy|ShutdownRestore|Shm|TableSegment|LeafMetadata|ParallelScan|VectorizedDiff|Aggregator|ObsMetrics|ObsTracer|RestartTrace|RestartHeartbeat|StatsExporter|SelfStats|QueryTrace|SlowQueryLog|ProfileDeterminism|PackedKernelFuzz|PackedScan|ResultCache|InstantRestore|SloTracker|Admission|LoadDriver|SnapshotDelta|FlightRecorder|Autopsy|RestartsTable|Hysteresis|AlertEngine|HealthMonitor|AlertsTable|RestartManager|BackupRoundTrip|ColumnarBackup|ColumnarLeaf|RoundTripProperty|LeafServer'
 
 echo
 echo "=== OK ==="

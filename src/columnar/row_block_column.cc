@@ -21,9 +21,9 @@ constexpr size_t kOffItemCount = 24;
 constexpr size_t kOffDictItemCount = 32;
 constexpr size_t kOffDictOffset = 40;
 constexpr size_t kOffDataOffset = 48;
-// V2 footer field offsets relative to footer start (the trailing
-// [uncompressed | checksum | end magic] 16 bytes are common to both
-// versions and addressed from the buffer END instead).
+// Footer field offsets relative to footer start (the trailing
+// [uncompressed | checksum | end magic] 16 bytes are addressed from the
+// buffer END instead).
 constexpr size_t kFooterOffZoneMin = 0;
 constexpr size_t kFooterOffZoneMax = 8;
 constexpr size_t kFooterOffZoneFlags = 16;
@@ -47,12 +47,10 @@ uint16_t ReadU16At(const uint8_t* base, size_t off) {
 }  // namespace
 
 // The footer offset is not stored as a header field: it is derivable as
-// total_bytes - footer_size(version), and keeping a single source of truth
-// avoids inconsistent-offset corruption classes. (Fig 3 lists it; we
-// document the derivation instead of duplicating state.)
-size_t RowBlockColumn::FooterOffset() const {
-  return size_ - FooterSizeForVersion(version());
-}
+// total_bytes - footer size, and keeping a single source of truth avoids
+// inconsistent-offset corruption classes. (Fig 3 lists it; we document the
+// derivation instead of duplicating state.)
+size_t RowBlockColumn::FooterOffset() const { return size_ - kFooterSize; }
 
 RowBlockColumn RowBlockColumn::Assemble(ColumnType type,
                                         column_codec::EncodedColumn encoded,
@@ -64,7 +62,7 @@ RowBlockColumn RowBlockColumn::Assemble(ColumnType type,
   const size_t dict_offset = kHeaderSize;
   const size_t data_offset = dict_offset + dict_size;
   const size_t footer_offset = data_offset + data_size;
-  const size_t total = footer_offset + kFooterSizeV2;
+  const size_t total = footer_offset + kFooterSize;
 
   std::unique_ptr<uint8_t[]> buf(new uint8_t[total]);
   uint8_t* p = buf.get();
@@ -143,20 +141,15 @@ RowBlockColumn RowBlockColumn::BuildString(
 }
 
 Status RowBlockColumn::ValidateBuffer(Slice buffer, bool verify_checksum) {
-  if (buffer.size() < kHeaderSize + kFooterSizeV1) {
+  if (buffer.size() < kHeaderSize + kFooterSize) {
     return Status::Corruption("rbc: buffer smaller than header + footer");
   }
   const uint8_t* p = buffer.data();
   if (ReadU32At(p, kOffMagic) != kMagic) {
     return Status::Corruption("rbc: bad magic");
   }
-  uint16_t version = ReadU16At(p, kOffVersion);
-  if (version < 1 || version > kVersion) {
+  if (ReadU16At(p, kOffVersion) != kVersion) {
     return Status::Corruption("rbc: unsupported version");
-  }
-  const size_t footer_size = FooterSizeForVersion(version);
-  if (buffer.size() < kHeaderSize + footer_size) {
-    return Status::Corruption("rbc: buffer smaller than header + footer");
   }
   uint64_t total = ReadU64At(p, kOffTotalBytes);
   if (total != buffer.size()) {
@@ -164,7 +157,7 @@ Status RowBlockColumn::ValidateBuffer(Slice buffer, bool verify_checksum) {
   }
   uint64_t dict_offset = ReadU64At(p, kOffDictOffset);
   uint64_t data_offset = ReadU64At(p, kOffDataOffset);
-  size_t footer_offset = static_cast<size_t>(total) - footer_size;
+  size_t footer_offset = static_cast<size_t>(total) - kFooterSize;
   if (dict_offset != kHeaderSize || data_offset < dict_offset ||
       data_offset > footer_offset) {
     return Status::Corruption("rbc: inconsistent section offsets");
@@ -219,7 +212,6 @@ uint64_t RowBlockColumn::uncompressed_bytes() const {
 }
 
 bool RowBlockColumn::HasZoneMap() const {
-  if (version() < 2) return false;
   return (ReadU32At(buffer_.get(), FooterOffset() + kFooterOffZoneFlags) &
           kZoneFlagPresent) != 0;
 }

@@ -27,7 +27,7 @@ namespace scuba {
 ///
 /// Header (fixed 56 bytes, little-endian):
 ///   u32 magic            'RBC1'
-///   u16 version          layout version of this column format (1 or 2)
+///   u16 version          layout version of this column format (2)
 ///   u16 compression      codec chain code (column_codec::ChainCode)
 ///   u32 column type      ColumnType
 ///   u32 reserved
@@ -38,14 +38,9 @@ namespace scuba {
 ///   u64 data offset      offset at which the data is found
 ///   u64 footer offset    offset at which the footer is found
 ///
-/// Footer, version 1 (16 bytes):
-///   u64 uncompressed bytes  logical (pre-compression) size of the column
-///   u32 checksum            masked CRC32C of bytes [0, footer_offset + 8)
-///   u32 end magic           'RBCE'
-///
-/// Footer, version 2 (40 bytes) — adds a zone map so query execution can
-/// prune whole row blocks on comparison predicates without decoding (the
-/// same trick the header's min/max time plays for time predicates, §2.1):
+/// Footer (40 bytes) — carries a zone map so query execution can prune
+/// whole row blocks on comparison predicates without decoding (the same
+/// trick the header's min/max time plays for time predicates, §2.1):
 ///   u64 zone min bits       min value (int64 bits, or double bit pattern)
 ///   u64 zone max bits       max value
 ///   u32 zone flags          bit 0: zone map present
@@ -54,22 +49,16 @@ namespace scuba {
 ///   u32 checksum            masked CRC32C of bytes [0, footer_offset + 32)
 ///   u32 end magic           'RBCE'
 ///
-/// Both versions keep [uncompressed | checksum | end magic] as the LAST 16
-/// bytes of the buffer; readers accept either version (old blocks restored
-/// from shm or disk keep working), writers always emit version 2.
+/// Layout version 1 had a 16-byte footer without the zone map; this build
+/// never writes it, and readers reject it as Corruption (a restore then
+/// takes its tested fallback: shm -> disk, or a .cols table cut there).
 class RowBlockColumn {
  public:
   static constexpr uint32_t kMagic = 0x31434252;     // "RBC1"
   static constexpr uint32_t kEndMagic = 0x45434252;  // "RBCE"
   static constexpr uint16_t kVersion = 2;
   static constexpr size_t kHeaderSize = 56;
-  static constexpr size_t kFooterSizeV1 = 16;
-  static constexpr size_t kFooterSizeV2 = 40;
-
-  /// Footer byte size for a given layout version.
-  static size_t FooterSizeForVersion(uint16_t version) {
-    return version >= 2 ? kFooterSizeV2 : kFooterSizeV1;
-  }
+  static constexpr size_t kFooterSize = 40;
 
   RowBlockColumn(RowBlockColumn&&) noexcept = default;
   RowBlockColumn& operator=(RowBlockColumn&&) noexcept = default;
@@ -104,7 +93,7 @@ class RowBlockColumn {
   uint64_t total_bytes() const { return size_; }
   uint64_t uncompressed_bytes() const;
 
-  // Zone map accessors (v2 footers only; v1 columns report none).
+  // Zone map accessors.
   bool HasZoneMap() const;
   /// Min/max of an int64 column; false when absent or wrong type.
   bool ZoneRangeInt64(int64_t* min, int64_t* max) const;

@@ -141,21 +141,6 @@ EncodedColumn EncodeInt64(const std::vector<int64_t>& values) {
   return out;
 }
 
-EncodedColumn EncodeInt64Legacy(const std::vector<int64_t>& values) {
-  EncodedColumn out;
-  if (values.empty()) return out;
-  std::vector<int64_t> work = values;
-  delta::Encode(&work);
-  int64_t base = work[0];
-  work.erase(work.begin());
-  std::vector<uint64_t> zz = delta::ZigZagAll(work);
-  varint::AppendI64(&out.data, base);
-  AppendPacked(zz, &out.data);
-  out.chain = MakeChain({Stage::kDelta, Stage::kZigZag, Stage::kBitPack});
-  if (MaybeLz4(&out.data)) out.chain = AppendStage(out.chain, Stage::kLz4);
-  return out;
-}
-
 EncodedColumn EncodeDouble(const std::vector<double>& values) {
   EncodedColumn out;
   if (values.empty()) return out;
@@ -261,28 +246,6 @@ Status DecodeInt64(ChainCode chain, Slice dict, Slice data, size_t count,
   if (stages == std::vector<Stage>{Stage::kDelta, Stage::kZigZag,
                                    Stage::kMiniBlockPack}) {
     return delta::DecodeMiniBlocks(data, count, values);
-  }
-
-  // Legacy whole-column chain: row blocks written before the mini-block
-  // format (shm images and disk backups survive restarts and upgrades, so
-  // the old layout must keep decoding).
-  if (stages ==
-      std::vector<Stage>{Stage::kDelta, Stage::kZigZag, Stage::kBitPack}) {
-    int64_t base = 0;
-    if (!varint::ReadI64(&data, &base)) {
-      return Status::Corruption("int column: truncated base");
-    }
-    std::vector<uint64_t> zz;
-    SCUBA_RETURN_IF_ERROR(ReadPacked(&data, count - 1, &zz));
-    std::vector<int64_t> deltas = delta::UnZigZagAll(zz);
-    values->reserve(count);
-    values->push_back(base);
-    uint64_t acc = static_cast<uint64_t>(base);
-    for (int64_t d : deltas) {
-      acc += static_cast<uint64_t>(d);
-      values->push_back(static_cast<int64_t>(acc));
-    }
-    return Status::OK();
   }
 
   return Status::Corruption("int column: unknown chain " +

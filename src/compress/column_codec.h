@@ -59,11 +59,6 @@ struct EncodedColumn {
 /// compress/delta.h); appends an LZ4 stage whenever it shrinks the result.
 EncodedColumn EncodeInt64(const std::vector<int64_t>& values);
 
-/// The pre-mini-block int64 chain (delta + zigzag + whole-column bitpack).
-/// Kept so back-compat tests can exercise decoding of row blocks written by
-/// older builds; DecodeInt64 still accepts both chains.
-EncodedColumn EncodeInt64Legacy(const std::vector<int64_t>& values);
-
 /// Encodes a double column with byte-plane shuffle + LZ4 (falls back to raw
 /// when incompressible).
 EncodedColumn EncodeDouble(const std::vector<double>& values);

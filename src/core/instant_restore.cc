@@ -5,20 +5,22 @@
 #include <limits>
 #include <utility>
 
-#include "disk/backup_format.h"
+#include "disk/backup_reader.h"
+#include "disk/columnar_backup.h"
 #include "disk/file.h"
 #include "obs/metrics.h"
+#include "shm/leaf_metadata.h"
 #include "shm/shm_segment.h"
+#include "shm/table_segment.h"
 #include "util/clock.h"
 #include "util/logging.h"
 
 namespace scuba {
 namespace {
 
-// Cumulative process-wide restore metrics — the same scuba.core.restore.*
-// names the blocking paths feed, so dashboards see one continuous series
-// regardless of which engine ran the recovery.
-struct InstantMetrics {
+// Cumulative process-wide mirror of RestoreStats (scuba.core.restore.*),
+// fed by every restore — blocking or instant, any source.
+struct RestoreMetrics {
   obs::Counter* operations;
   obs::Counter* tables;
   obs::Counter* row_blocks;
@@ -29,9 +31,9 @@ struct InstantMetrics {
   obs::Histogram* block_bytes;
   obs::Histogram* elapsed_micros;
 
-  static InstantMetrics& Get() {
+  static RestoreMetrics& Get() {
     auto& reg = obs::MetricsRegistry::Global();
-    static InstantMetrics m{
+    static RestoreMetrics m{
         reg.GetCounter("scuba.core.restore.operations"),
         reg.GetCounter("scuba.core.restore.tables_restored"),
         reg.GetCounter("scuba.core.restore.row_blocks_restored"),
@@ -44,6 +46,19 @@ struct InstantMetrics {
     return m;
   }
 };
+
+// Leaked /dev/shm segments are invisible to the process that leaked them;
+// a destroy failure must at least leave a trace for the operator. The
+// warning metric makes the partial failure visible to dashboards, not
+// just whoever happens to read stderr.
+void DestroyAllSegmentsLogged(LeafMetadata* meta, const char* why) {
+  Status s = meta->DestroyAllSegments();
+  if (!s.ok()) {
+    obs::IncrCounter("scuba.core.restore.shm_scrub_failures");
+    SCUBA_WARN << "failed to destroy shm segments (" << why
+               << "); /dev/shm segments may be leaked: " << s.ToString();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Shared-memory source
@@ -63,6 +78,7 @@ class ShmRestoreSource : public RestoreSource {
       if (!reader_or.ok()) return reader_or.status();
       auto seg = std::make_unique<Segment>(std::move(reader_or).value());
       const size_t table_index = segments_.size();
+      seg->first_unit = units_.size();
       const size_t n = seg->reader.num_row_blocks();
       seg->done.assign(n, 0);
       TableInfo info;
@@ -123,26 +139,32 @@ class ShmRestoreSource : public RestoreSource {
     return loaded;
   }
 
-  void UnitDrained(size_t i) override {
+  Drained UnitDrained(size_t i) override {
     const auto& [s, rb] = unit_loc_[i];
     Segment* seg = segments_[s].get();
     seg->done[rb] = 1;
     // Truncate the tail-contiguous drained run: a priority block finished
     // mid-segment stays mapped until everything behind it (toward the
-    // tail) lands, keeping truncation strictly tail-ordered as in the
-    // blocking engine.
+    // tail) lands, keeping truncation strictly tail-ordered. Units are
+    // enumerated tail-first, so the run is a contiguous unit range.
+    Drained drained{seg->first_unit + seg->drained,
+                    seg->first_unit + seg->drained, 0};
     const size_t n = seg->reader.num_row_blocks();
+    const size_t before = seg->reader.segment_bytes();
     while (seg->drained < n && seg->done[n - 1 - seg->drained] != 0) {
       size_t idx = n - 1 - seg->drained;
       Status s2 = seg->reader.TruncateTo(seg->reader.block(idx).block_offset);
       if (!s2.ok()) {
         // Truncation is an optimization (early page release), not a
         // correctness step — warn and keep draining.
-        SCUBA_WARN << "instant restore: truncate failed on "
+        SCUBA_WARN << "restore: truncate failed on "
                    << seg->reader.table_name() << ": " << s2.ToString();
       }
       ++seg->drained;
     }
+    drained.end_unit = seg->first_unit + seg->drained;
+    drained.bytes_freed = before - seg->reader.segment_bytes();
+    return drained;
   }
 
   Status Finalize() override {
@@ -155,12 +177,7 @@ class ShmRestoreSource : public RestoreSource {
   void Abandon() override {
     // The valid bit is already false (set at open), so the next process
     // takes the disk path regardless; scrubbing just frees /dev/shm now.
-    Status s = meta_.DestroyAllSegments();
-    if (!s.ok()) {
-      obs::IncrCounter("scuba.core.restore.shm_scrub_failures");
-      SCUBA_WARN << "instant restore abandon: shm segments may be leaked: "
-                 << s.ToString();
-    }
+    DestroyAllSegmentsLogged(&meta_, "restore abandoned");
   }
 
  private:
@@ -169,6 +186,7 @@ class ShmRestoreSource : public RestoreSource {
         : reader(std::move(r)), base(reader.data()) {}
     TableSegmentReader reader;
     const uint8_t* base;  // stable across in-place truncation
+    size_t first_unit = 0;  // this segment's units: [first_unit, +blocks)
     std::vector<uint8_t> done;
     size_t drained = 0;
   };
@@ -186,62 +204,37 @@ class ShmRestoreSource : public RestoreSource {
 // Columnar-disk source (.cols)
 // ---------------------------------------------------------------------------
 
-constexpr uint32_t kColsTailMagic = 0x4C494154;  // "TAIL"
-constexpr size_t kColsTailHeaderSize = 16;
-
 class ColsRestoreSource : public RestoreSource {
  public:
-  ColsRestoreSource(std::string dir, ColumnarBackupReader::Options options,
-                    int64_t now)
-      : dir_(std::move(dir)), options_(std::move(options)), now_(now) {}
+  ColsRestoreSource(std::string dir, uint64_t throttle_bytes_per_sec,
+                    bool verify_checksums)
+      : dir_(std::move(dir)),
+        throttle_(throttle_bytes_per_sec),
+        verify_(verify_checksums) {}
 
-  Status Init() {
-    auto names_or = ColumnarBackupReader::ListTables(dir_);
-    if (!names_or.ok()) return names_or.status();
-    std::vector<std::string> names = std::move(names_or).value();
+  Status Init(const ColsCuts& cuts) {
+    SCUBA_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                           ColumnarBackupReader::ListTables(dir_));
     if (names.empty()) {
       return Status::NotFound("no .cols backups in " + dir_);
     }
     for (const std::string& name : names) {
-      TableData data;
-      SCUBA_RETURN_IF_ERROR(ReadFileFully(dir_ + "/" + name + ".cols",
-                                          &data.contents,
-                                          options_.throttle_bytes_per_sec));
-      auto refs_or =
-          ColumnarBackupReader::EnumerateBlocks(data.contents.AsSlice());
-      if (!refs_or.ok()) return refs_or.status();
-      data.refs = std::move(refs_or).value();
+      auto cut = cuts.find(name);
+      SCUBA_ASSIGN_OR_RETURN(
+          ColumnarBackupReader::TableBackup backup,
+          ColumnarBackupReader::ReadTable(
+              dir_, name, cut == cuts.end() ? SIZE_MAX : cut->second,
+              throttle_));
+      open_stats_.Add(backup.stats);
 
       const size_t table_index = tables_.size();
       TableInfo info;
       info.name = name;
-      info.num_slots = data.refs.size();
-      // Replay EXACTLY tail.<blocks> (the seal protocol's match rule) into
-      // the table at setup time — before the first query — so the
-      // unsealed rows are present from the start, same as blocking
-      // recovery. Stale generations are ignored.
-      std::string tail_path =
-          dir_ + "/" + name + ".tail." + std::to_string(data.refs.size());
-      if (FileExists(tail_path)) {
-        ByteBuffer tail;
-        SCUBA_RETURN_IF_ERROR(
-            ReadFileFully(tail_path, &tail, options_.throttle_bytes_per_sec));
-        Slice input = tail.AsSlice();
-        if (input.size() >= kColsTailHeaderSize &&
-            ByteBuffer::DecodeU32(input.data()) == kColsTailMagic) {
-          input.RemovePrefix(kColsTailHeaderSize);
-          for (;;) {
-            std::vector<Row> rows;
-            Status s = backup_format::ReadRowBatchRecord(&input, &rows);
-            if (!s.ok()) break;  // NotFound = clean end; Corruption = torn
-            for (auto& row : rows) info.tail_rows.push_back(std::move(row));
-          }
-        }
-      }
+      info.num_slots = backup.blocks.size();
+      info.tail_rows = std::move(backup.tail_rows);
       tables_.push_back(std::move(info));
-
-      for (size_t b = 0; b < data.refs.size(); ++b) {
-        const ColumnarBackupReader::BlockRef& ref = data.refs[b];
+      for (size_t b = 0; b < backup.blocks.size(); ++b) {
+        const ColumnarBackupReader::BlockRef& ref = backup.blocks[b];
         RestoreUnit unit;
         unit.table_index = table_index;
         unit.slot = b;
@@ -252,7 +245,7 @@ class ColsRestoreSource : public RestoreSource {
         unit_loc_.emplace_back(table_index, b);
         units_.push_back(unit);
       }
-      data_.push_back(std::move(data));
+      backups_.push_back(std::move(backup));
     }
     return Status::OK();
   }
@@ -263,35 +256,34 @@ class ColsRestoreSource : public RestoreSource {
   const std::vector<TableInfo>& tables() const override { return tables_; }
   const std::vector<RestoreUnit>& units() const override { return units_; }
   uint64_t total_bytes() const override { return total_bytes_; }
+  DiskRestoreStats open_stats() const override { return open_stats_; }
 
   StatusOr<LoadedUnit> Load(size_t i) override {
     const auto& [t, b] = unit_loc_[i];
-    const ColumnarBackupReader::BlockRef& ref = data_[t].refs[b];
-    auto block = ColumnarBackupReader::ParseBlock(ref.payload,
-                                                 options_.verify_checksums);
-    if (!block.ok()) return block.status();
+    const ColumnarBackupReader::BlockRef& ref = backups_[t].blocks[b];
+    Stopwatch watch;
+    SCUBA_ASSIGN_OR_RETURN(std::unique_ptr<RowBlock> block,
+                           ColumnarBackupReader::ParseBlock(ref.payload,
+                                                            verify_));
     LoadedUnit loaded;
-    loaded.block = std::move(block).value();
+    loaded.block = std::move(block);
     loaded.columns_copied = ref.meta.column_sizes.size();
+    loaded.disk.translate_micros = watch.ElapsedMicros();
     return loaded;
   }
 
   // The .cols files ARE the durable backup; nothing to release or scrub.
 
  private:
-  struct TableData {
-    ByteBuffer contents;  // keeps every BlockRef slice alive
-    std::vector<ColumnarBackupReader::BlockRef> refs;
-  };
-
   std::string dir_;
-  ColumnarBackupReader::Options options_;
-  int64_t now_;
-  std::vector<TableData> data_;
+  uint64_t throttle_;
+  bool verify_;
+  std::vector<ColumnarBackupReader::TableBackup> backups_;
   std::vector<TableInfo> tables_;
   std::vector<RestoreUnit> units_;
   std::vector<std::pair<size_t, size_t>> unit_loc_;  // (table, block)
   uint64_t total_bytes_ = 0;
+  DiskRestoreStats open_stats_;
 };
 
 // ---------------------------------------------------------------------------
@@ -300,13 +292,13 @@ class ColsRestoreSource : public RestoreSource {
 
 class BakRestoreSource : public RestoreSource {
  public:
-  BakRestoreSource(std::string dir, BackupReader::Options options, int64_t now)
-      : dir_(std::move(dir)), options_(std::move(options)), now_(now) {}
+  BakRestoreSource(std::string dir, uint64_t throttle_bytes_per_sec,
+                   int64_t now)
+      : dir_(std::move(dir)), throttle_(throttle_bytes_per_sec), now_(now) {}
 
   Status Init() {
-    auto files_or = ListFiles(dir_, ".bak");
-    if (!files_or.ok()) return files_or.status();
-    std::vector<std::string> files = std::move(files_or).value();
+    SCUBA_ASSIGN_OR_RETURN(std::vector<std::string> files,
+                           ListFiles(dir_, ".bak"));
     if (files.empty()) {
       return Status::NotFound("no .bak backups in " + dir_);
     }
@@ -347,11 +339,10 @@ class BakRestoreSource : public RestoreSource {
     const std::string& name = tables_[units_[i].table_index].name;
     // Translate into a scratch table off the leaf's lock, then hand the
     // finished blocks + unsealed tail rows over for adoption.
-    Table scratch(name, options_.table_limits);
-    BackupReader::Stats stats;
-    SCUBA_RETURN_IF_ERROR(BackupReader::RecoverTable(
-        dir_ + "/" + name + ".bak", &scratch, options_, now_, &stats));
+    Table scratch(name);
     LoadedUnit loaded;
+    SCUBA_RETURN_IF_ERROR(BackupReader::RecoverTable(
+        dir_ + "/" + name + ".bak", &scratch, throttle_, now_, &loaded.disk));
     loaded.blocks.reserve(scratch.num_row_blocks());
     for (size_t b = 0; b < scratch.num_row_blocks(); ++b) {
       loaded.blocks.push_back(scratch.ReleaseRowBlock(b));
@@ -362,12 +353,20 @@ class BakRestoreSource : public RestoreSource {
 
  private:
   std::string dir_;
-  BackupReader::Options options_;
+  uint64_t throttle_;
   int64_t now_;
   std::vector<TableInfo> tables_;
   std::vector<RestoreUnit> units_;
   uint64_t total_bytes_ = 0;
 };
+
+uint64_t AutoBudget(const InstantRestoreEngine::Options& options,
+                    const std::vector<RestoreUnit>& units) {
+  if (options.max_in_flight_bytes != 0) return options.max_in_flight_bytes;
+  uint64_t max_unit = 0;
+  for (const RestoreUnit& u : units) max_unit = std::max(max_unit, u.bytes);
+  return std::max<size_t>(1, options.num_copy_threads) * max_unit;
+}
 
 }  // namespace
 
@@ -380,27 +379,31 @@ StatusOr<std::unique_ptr<RestoreSource>> OpenShmRestoreSource(
   }
   auto meta_or = LeafMetadata::Open(namespace_prefix, leaf_id);
   if (!meta_or.ok()) {
+    // Unreadable metadata: scrub any segments we can find by prefix so the
+    // broken state does not linger.
     ShmSegment::RemoveAll("/" + namespace_prefix + "_leaf_" +
                           std::to_string(leaf_id) + "_");
     return Status::FailedPrecondition("leaf metadata unreadable: " +
                                       meta_or.status().ToString());
   }
   LeafMetadata meta = std::move(meta_or).value();
+  // Fig 7: if valid bit is false -> delete segments, recover from disk.
   if (!meta.valid()) {
-    (void)meta.DestroyAllSegments();
+    DestroyAllSegmentsLogged(&meta, "valid bit false");
     return Status::FailedPrecondition(
         "shared memory valid bit is false (crash or interrupted restore)");
   }
+  // Layout version mismatch: this binary cannot interpret the segments.
   if (meta.layout_version() != kShmLayoutVersion) {
-    (void)meta.DestroyAllSegments();
+    DestroyAllSegmentsLogged(&meta, "layout version mismatch");
     return Status::FailedPrecondition(
         "shared memory layout version mismatch: segment v" +
         std::to_string(meta.layout_version()) + " vs binary v" +
         std::to_string(kShmLayoutVersion));
   }
   // Fig 7: set valid bit to false before touching segments — if the
-  // instant restore is interrupted from here on, the next restart takes
-  // the disk path.
+  // restore is interrupted from here on, the next restart takes the disk
+  // path.
   SCUBA_RETURN_IF_ERROR(meta.SetValid(false));
 
   auto source =
@@ -408,49 +411,68 @@ StatusOr<std::unique_ptr<RestoreSource>> OpenShmRestoreSource(
   Status s = source->Init();
   if (!s.ok()) {
     source->Abandon();
-    return Status::FailedPrecondition("table segment unreadable: " +
-                                      s.ToString());
+    return Status::Corruption("table segment unreadable: " + s.ToString());
   }
   return StatusOr<std::unique_ptr<RestoreSource>>(std::move(source));
 }
 
 StatusOr<std::unique_ptr<RestoreSource>> OpenColsRestoreSource(
-    const std::string& dir, const ColumnarBackupReader::Options& options,
-    int64_t now) {
+    const std::string& dir, uint64_t throttle_bytes_per_sec,
+    bool verify_checksums, const ColsCuts& cuts) {
   if (dir.empty() || !FileExists(dir)) {
     return Status::NotFound("no backup directory at '" + dir + "'");
   }
-  auto source = std::make_unique<ColsRestoreSource>(dir, options, now);
-  SCUBA_RETURN_IF_ERROR(source->Init());
+  auto source = std::make_unique<ColsRestoreSource>(
+      dir, throttle_bytes_per_sec, verify_checksums);
+  SCUBA_RETURN_IF_ERROR(source->Init(cuts));
   return StatusOr<std::unique_ptr<RestoreSource>>(std::move(source));
 }
 
 StatusOr<std::unique_ptr<RestoreSource>> OpenBakRestoreSource(
-    const std::string& dir, const BackupReader::Options& options,
-    int64_t now) {
+    const std::string& dir, uint64_t throttle_bytes_per_sec, int64_t now) {
   if (dir.empty() || !FileExists(dir)) {
     return Status::NotFound("no backup directory at '" + dir + "'");
   }
-  auto source = std::make_unique<BakRestoreSource>(dir, options, now);
+  auto source =
+      std::make_unique<BakRestoreSource>(dir, throttle_bytes_per_sec, now);
   SCUBA_RETURN_IF_ERROR(source->Init());
   return StatusOr<std::unique_ptr<RestoreSource>>(std::move(source));
+}
+
+StatusOr<std::vector<Table*>> CreateRestoreTables(const RestoreSource& source,
+                                                  const TableLimits& limits,
+                                                  int64_t now,
+                                                  LeafMap* leaf_map) {
+  std::vector<Table*> tables;
+  tables.reserve(source.tables().size());
+  for (const RestoreSource::TableInfo& info : source.tables()) {
+    SCUBA_ASSIGN_OR_RETURN(Table * table,
+                           leaf_map->CreateTable(info.name, limits));
+    table->ReserveRestoreSlots(info.num_slots);
+    if (!info.tail_rows.empty()) {
+      SCUBA_RETURN_IF_ERROR(table->AddRows(info.tail_rows, now));
+    }
+    tables.push_back(table);
+  }
+  return tables;
+}
+
+Status AdoptRestoredUnit(Table* table, const RestoreUnit& unit,
+                         LoadedUnit loaded, int64_t now) {
+  if (!unit.whole_table) {
+    table->AdoptRowBlockAt(unit.slot, std::move(loaded.block));
+    return Status::OK();
+  }
+  for (auto& block : loaded.blocks) {
+    if (block != nullptr) table->AdoptRowBlock(std::move(block));
+  }
+  if (loaded.tail_rows.empty()) return Status::OK();
+  return table->AddRows(loaded.tail_rows, now);
 }
 
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
-
-namespace {
-
-uint64_t AutoBudget(const InstantRestoreEngine::Options& options,
-                    const std::vector<RestoreUnit>& units) {
-  if (options.max_in_flight_bytes != 0) return options.max_in_flight_bytes;
-  uint64_t max_unit = 0;
-  for (const RestoreUnit& u : units) max_unit = std::max(max_unit, u.bytes);
-  return std::max<size_t>(1, options.num_copy_threads) * max_unit;
-}
-
-}  // namespace
 
 InstantRestoreEngine::InstantRestoreEngine(
     std::unique_ptr<RestoreSource> source, Options options, AdoptFn adopt,
@@ -464,10 +486,14 @@ InstantRestoreEngine::InstantRestoreEngine(
   const std::vector<RestoreUnit>& units = source_->units();
   started_.assign(units.size(), 0);
   priority_requested_.assign(units.size(), 0);
+  holds_budget_.assign(units.size(), 0);
   table_units_.resize(source_->tables().size());
+  table_remaining_.assign(source_->tables().size(), 0);
+  table_begun_.assign(source_->tables().size(), 0);
   bucket_remaining_.assign(RestartHeartbeat::kBitmapBuckets, 0);
   for (size_t i = 0; i < units.size(); ++i) {
     table_units_[units[i].table_index].push_back(i);
+    ++table_remaining_[units[i].table_index];
     ++bucket_remaining_[RestoreBitmap::BucketOf(
         i, units.size(), RestartHeartbeat::kBitmapBuckets)];
   }
@@ -475,13 +501,13 @@ InstantRestoreEngine::InstantRestoreEngine(
 
 InstantRestoreEngine::~InstantRestoreEngine() { Abandon(); }
 
-void InstantRestoreEngine::Start() {
+void InstantRestoreEngine::Launch(size_t spawn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (started_flag_) return;
     started_flag_ = true;
+    active_workers_ = std::max<size_t>(1, options_.num_copy_threads);
   }
-  InstantMetrics::Get().operations->Add(1);
+  RestoreMetrics::Get().operations->Add(1);
   started_micros_ = RealClock::Get()->NowMicros();
   if (options_.heartbeat != nullptr) {
     options_.heartbeat->SetBlocksTotal(source_->units().size());
@@ -493,12 +519,26 @@ void InstantRestoreEngine::Start() {
             std::string(RecoverySourceName(source_->recovery_source())),
         0, source_->units().size());
   }
-  const size_t threads = std::max<size_t>(1, options_.num_copy_threads);
-  active_workers_ = threads;
-  workers_.reserve(threads);
-  for (size_t t = 0; t < threads; ++t) {
+  workers_.reserve(spawn);
+  for (size_t t = 0; t < spawn; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+}
+
+void InstantRestoreEngine::Start() {
+  Launch(std::max<size_t>(1, options_.num_copy_threads));
+}
+
+Status InstantRestoreEngine::Run() {
+  blocking_ = true;
+  Launch(std::max<size_t>(1, options_.num_copy_threads) - 1);
+  WorkerLoop();
+  // Joining the spawned workers also waits out whichever of them was last
+  // to leave and is still finalizing the source and firing done.
+  for (std::thread& t : workers_) t.join();
+  workers_.clear();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return final_status_;
 }
 
 int InstantRestoreEngine::TableIndex(const std::string& name) const {
@@ -521,6 +561,7 @@ bool InstantRestoreEngine::PickUnit(size_t* unit, bool* on_demand) {
     started_[u] = 1;
     *unit = u;
     *on_demand = true;
+    NoteClaimedLocked(u);
     return true;
   }
   // Background sequential filler: next unclaimed unit in source order
@@ -536,6 +577,7 @@ bool InstantRestoreEngine::PickUnit(size_t* unit, bool* on_demand) {
     // A unit a query asked for but a background scan reached first still
     // counts as on-demand: the query is blocked on it either way.
     *on_demand = priority_requested_[u] != 0;
+    NoteClaimedLocked(u);
     return true;
   }
   // Everything is claimed (maybe still in flight on other workers); this
@@ -543,16 +585,49 @@ bool InstantRestoreEngine::PickUnit(size_t* unit, bool* on_demand) {
   return false;
 }
 
+void InstantRestoreEngine::NoteClaimedLocked(size_t u) {
+  const size_t t = source_->units()[u].table_index;
+  if (table_begun_[t] != 0) return;
+  table_begun_[t] = 1;
+  if (options_.flight_recorder != nullptr) {
+    options_.flight_recorder->Record(
+        FlightRecorder::EventType::kTableCopyBegin, RestartPhase::kCopyIn,
+        source_->tables()[t].name, 0, table_units_[t].size());
+  }
+}
+
+void InstantRestoreEngine::FailLocked(size_t u, Status status) {
+  if (first_error_.ok()) {
+    first_error_ = std::move(status);
+    failed_unit_ = static_cast<int64_t>(u);
+  }
+  cancelled_ = true;
+  ReleaseAllBudgetLocked();
+  done_cv_.notify_all();
+}
+
+void InstantRestoreEngine::ReleaseBudgetLocked(size_t u) {
+  if (holds_budget_[u] == 0) return;
+  holds_budget_[u] = 0;
+  budget_.Release(source_->units()[u].bytes);
+}
+
+void InstantRestoreEngine::ReleaseAllBudgetLocked() {
+  for (size_t u = 0; u < holds_budget_.size(); ++u) ReleaseBudgetLocked(u);
+}
+
 void InstantRestoreEngine::WorkerLoop() {
   const std::vector<RestoreUnit>& units = source_->units();
-  InstantMetrics& metrics = InstantMetrics::Get();
+  RestoreMetrics& metrics = RestoreMetrics::Get();
   for (;;) {
     size_t u = 0;
     bool on_demand = false;
-    if (!PickUnit(&u, &on_demand)) break;
+    {
+      std::lock_guard<std::mutex> claim(claim_mutex_);
+      if (!PickUnit(&u, &on_demand)) break;
+      budget_.Acquire(units[u].bytes);
+    }
     const RestoreUnit& unit = units[u];
-
-    budget_.Acquire(unit.bytes);
     {
       // Re-check after a potentially long Acquire: a cancel while parked
       // must not start new copies.
@@ -561,25 +636,24 @@ void InstantRestoreEngine::WorkerLoop() {
         budget_.Release(unit.bytes);
         continue;  // PickUnit returns false next round
       }
+      holds_budget_[u] = 1;
     }
 
     StatusOr<LoadedUnit> loaded = source_->Load(u);
     Status status = loaded.status();
     uint64_t num_blocks = 0;
     uint64_t num_columns = 0;
+    DiskRestoreStats disk;
     if (status.ok()) {
       num_blocks = loaded.value().NumBlocks();
       num_columns = loaded.value().columns_copied;
+      disk = loaded.value().disk;
+      if (options_.footprint != nullptr) options_.footprint->Add(unit.bytes);
       status = adopt_(unit, std::move(loaded).value());
     }
     if (!status.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (first_error_.ok()) first_error_ = status;
-        cancelled_ = true;
-        done_cv_.notify_all();
-      }
-      budget_.Release(unit.bytes);
+      std::lock_guard<std::mutex> lock(mutex_);
+      FailLocked(u, std::move(status));
       continue;
     }
 
@@ -590,6 +664,7 @@ void InstantRestoreEngine::WorkerLoop() {
       stats_.row_blocks_restored += num_blocks;
       stats_.columns_restored += num_columns;
       stats_.bytes_copied += unit.bytes;
+      disk_stats_.Add(disk);
       if (on_demand) {
         ++stats_.blocks_on_demand;
         metrics.blocks_on_demand->Add(1);
@@ -610,10 +685,26 @@ void InstantRestoreEngine::WorkerLoop() {
           options_.heartbeat->OrRestoreBitmap(1ull << bucket);
         }
       }
-      source_->UnitDrained(u);
+      if (--table_remaining_[unit.table_index] == 0 &&
+          options_.flight_recorder != nullptr) {
+        options_.flight_recorder->Record(
+            FlightRecorder::EventType::kTableCopyEnd, RestartPhase::kCopyIn,
+            source_->tables()[unit.table_index].name, 0,
+            table_units_[unit.table_index].size());
+      }
+      const RestoreSource::Drained drained = source_->UnitDrained(u);
+      if (options_.footprint != nullptr) {
+        options_.footprint->Sub(drained.bytes_freed);
+      }
+      // Budget returns once the source's pages are gone; a query-pulled
+      // unit returns it now, since its pages may wait on a watermark that
+      // only background work advances.
+      if (on_demand || cancelled_) ReleaseBudgetLocked(u);
+      for (size_t v = drained.first_unit; v < drained.end_unit; ++v) {
+        ReleaseBudgetLocked(v);
+      }
       done_cv_.notify_all();
     }
-    budget_.Release(unit.bytes);
     if (options_.unit_hook) options_.unit_hook(u);
   }
 
@@ -641,8 +732,9 @@ void InstantRestoreEngine::FinishOnLastWorker() {
     done_cv_.notify_all();
   }
   if (abandoned) return;  // Abandon() owns the source teardown
+  Status result;
   if (was_cancelled) {
-    if (err.ok()) err = Status::Internal("instant restore cancelled");
+    if (err.ok()) err = Status::Internal("restore cancelled");
     if (options_.flight_recorder != nullptr) {
       options_.flight_recorder->Record(FlightRecorder::EventType::kCancel,
                                        RestartPhase::kCopyIn, err.ToString(),
@@ -650,36 +742,37 @@ void InstantRestoreEngine::FinishOnLastWorker() {
                                        source_->units().size());
     }
     source_->Abandon();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      source_released_ = true;
+    result = err;
+  } else {
+    stats_.tables_restored += source_->tables().size();
+    stats_.elapsed_micros = RealClock::Get()->NowMicros() - started_micros_;
+    disk_stats_.Add(source_->open_stats());
+    RestoreMetrics& metrics = RestoreMetrics::Get();
+    metrics.tables->Add(source_->tables().size());
+    metrics.elapsed_micros->Record(
+        static_cast<uint64_t>(stats_.elapsed_micros.load()));
+    result = source_->Finalize();
+    SCUBA_INFO << "restore (" << (blocking_ ? "blocking" : "instant") << ", "
+               << RecoverySourceName(source_->recovery_source())
+               << "): " << stats_.tables_restored << " tables, "
+               << stats_.row_blocks_restored << " blocks ("
+               << stats_.blocks_on_demand << " on demand), "
+               << stats_.bytes_copied << " bytes in "
+               << stats_.elapsed_micros / 1000 << " ms ("
+               << std::max<size_t>(1, options_.num_copy_threads)
+               << " copy threads)";
+    if (options_.flight_recorder != nullptr) {
+      options_.flight_recorder->Record(FlightRecorder::EventType::kRestore,
+                                       RestartPhase::kCopyIn, "engine done",
+                                       done_count_, source_->units().size());
     }
-    if (done_) done_(err);
-    return;
   }
-  stats_.tables_restored += source_->tables().size();
-  stats_.elapsed_micros =
-      RealClock::Get()->NowMicros() - started_micros_;
-  InstantMetrics& metrics = InstantMetrics::Get();
-  metrics.tables->Add(source_->tables().size());
-  metrics.elapsed_micros->Record(
-      static_cast<uint64_t>(stats_.elapsed_micros.load()));
-  Status fin = source_->Finalize();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     source_released_ = true;
+    final_status_ = result;
   }
-  SCUBA_INFO << "instant restore: " << stats_.tables_restored << " tables, "
-             << stats_.row_blocks_restored << " blocks ("
-             << stats_.blocks_on_demand << " on demand), "
-             << stats_.bytes_copied << " bytes in "
-             << stats_.elapsed_micros / 1000 << " ms";
-  if (options_.flight_recorder != nullptr) {
-    options_.flight_recorder->Record(FlightRecorder::EventType::kRestore,
-                                     RestartPhase::kCopyIn, "engine done",
-                                     done_count_, source_->units().size());
-  }
-  if (done_) done_(fin);
+  if (done_) done_(result);
 }
 
 InstantRestoreEngine::WaitResult InstantRestoreEngine::EnsureAvailable(
@@ -722,11 +815,12 @@ void InstantRestoreEngine::Cancel() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (finished_ || cancelled_) return;
   cancelled_ = true;
+  ReleaseAllBudgetLocked();
   if (options_.flight_recorder != nullptr) {
     options_.flight_recorder->Record(FlightRecorder::EventType::kCancel,
                                      RestartPhase::kCopyIn,
-                                     "instant restore cancel requested",
-                                     done_count_, source_->units().size());
+                                     "restore cancel requested", done_count_,
+                                     source_->units().size());
   }
   done_cv_.notify_all();
 }
@@ -737,6 +831,7 @@ void InstantRestoreEngine::Abandon() {
     if (abandoned_) return;
     abandoned_ = true;
     cancelled_ = true;
+    ReleaseAllBudgetLocked();
     done_cv_.notify_all();
   }
   for (std::thread& t : workers_) {
@@ -766,6 +861,11 @@ InstantRestoreEngine::Progress InstantRestoreEngine::progress() const {
 bool InstantRestoreEngine::finished() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return finished_;
+}
+
+int64_t InstantRestoreEngine::failed_unit() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return failed_unit_;
 }
 
 }  // namespace scuba

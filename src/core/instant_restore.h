@@ -5,22 +5,20 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "columnar/leaf_map.h"
 #include "columnar/row.h"
 #include "columnar/row_block.h"
-#include "core/restart_manager.h"
+#include "core/footprint.h"
 #include "core/restore.h"
-#include "disk/backup_reader.h"
-#include "disk/columnar_backup.h"
-#include "shm/leaf_metadata.h"
+#include "shm/flight_recorder.h"
 #include "shm/restart_heartbeat.h"
-#include "shm/table_segment.h"
-#include "util/byte_buffer.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -95,6 +93,8 @@ struct LoadedUnit {
   std::vector<Row> tail_rows;
   /// Column buffers copied (stats; 0 where the source cannot count them).
   uint64_t columns_copied = 0;
+  /// File reads and translation this Load did (disk sources).
+  DiskRestoreStats disk;
 
   size_t NumBlocks() const {
     return block != nullptr ? 1 : blocks.size();
@@ -119,21 +119,34 @@ class RestoreSource {
     std::vector<Row> tail_rows;
   };
 
+  /// What UnitDrained released: units [first_unit, end_unit) whose source
+  /// pages are gone — so their byte budget can return — and the bytes
+  /// that freed.
+  struct Drained {
+    size_t first_unit = 0;
+    size_t end_unit = 0;
+    uint64_t bytes_freed = 0;
+  };
+
   virtual ~RestoreSource() = default;
 
   virtual RecoverySource recovery_source() const = 0;
   virtual const std::vector<TableInfo>& tables() const = 0;
   virtual const std::vector<RestoreUnit>& units() const = 0;
   virtual uint64_t total_bytes() const = 0;
+  /// File reads and translation done while opening (the .cols source reads
+  /// whole files up front); per-unit work is reported by Load.
+  virtual DiskRestoreStats open_stats() const { return {}; }
 
   /// Copies unit `i` to the heap. Thread-safe across distinct units.
   virtual StatusOr<LoadedUnit> Load(size_t i) = 0;
 
   /// Called once per unit, serialized under the engine mutex, after the
-  /// unit's blocks were adopted — the shm source truncates the
-  /// tail-contiguous drained run of each segment here (Fig 7's
-  /// truncate-as-you-drain, preserved under on-demand ordering).
-  virtual void UnitDrained(size_t i) { (void)i; }
+  /// unit's blocks were adopted. The shm source truncates the
+  /// tail-contiguous drained run of the unit's segment here (Fig 7's
+  /// truncate-as-you-drain, preserved under on-demand ordering) and
+  /// returns that run; other sources release just `i`.
+  virtual Drained UnitDrained(size_t i) { return Drained{i, i + 1, 0}; }
 
   /// All units drained: release the source (unlink shm segments, destroy
   /// the metadata block).
@@ -145,46 +158,81 @@ class RestoreSource {
 };
 
 /// Opens the shared-memory source, following Fig 7's open protocol up to
-/// and including "set valid bit to false" (so an interrupted instant
-/// restore sends the next process to disk). Returns the same status
-/// taxonomy as RestoreFromShm: NotFound (no metadata), FailedPrecondition
-/// (invalid/mismatched metadata; segments are destroyed). The caller
-/// falls back to a disk source or the blocking path on any failure.
+/// and including "set valid bit to false" (so an interrupted restore sends
+/// the next process to disk):
+///   - NotFound            — no metadata segment (first boot, or after a
+///                           crash cleanup): the caller recovers from disk;
+///   - FailedPrecondition  — metadata unreadable, valid bit false or layout
+///                           version mismatch: every segment is destroyed;
+///   - Corruption          — a table segment failed validation after the
+///                           valid bit was cleared: likewise destroyed.
+/// A later Load failure is the caller's shm->disk fallback too; Abandon
+/// scrubs the segments.
 StatusOr<std::unique_ptr<RestoreSource>> OpenShmRestoreSource(
     const std::string& namespace_prefix, uint32_t leaf_id,
     bool verify_checksums);
 
-/// Opens the columnar (.cols) disk source: reads every table's file fully
-/// (the raw read is the cheap phase; translation dominates, §6) and
-/// enumerates block records, stopping at the first torn record per table
-/// exactly like the blocking reader. NotFound when `dir` has no .cols
-/// files.
+/// .cols tables cut at a block that failed to load on an earlier attempt:
+/// table name -> number of leading blocks kept.
+using ColsCuts = std::map<std::string, size_t>;
+
+/// Opens the columnar (.cols) disk source: reads every table's files fully
+/// (the raw read is the cheap phase; translation dominates, §6), keeping
+/// each table's clean prefix of block records, cut per `cuts`, and the
+/// rows of its matching tail (ColumnarBackupReader::ReadTable). NotFound
+/// when `dir` has no .cols files.
 StatusOr<std::unique_ptr<RestoreSource>> OpenColsRestoreSource(
-    const std::string& dir, const ColumnarBackupReader::Options& options,
-    int64_t now);
+    const std::string& dir, uint64_t throttle_bytes_per_sec,
+    bool verify_checksums, const ColsCuts& cuts);
 
 /// Opens the row-major (.bak) disk source: one whole-table unit per file;
 /// Load runs the full read+translate for that table. NotFound when `dir`
 /// has no .bak files.
 StatusOr<std::unique_ptr<RestoreSource>> OpenBakRestoreSource(
-    const std::string& dir, const BackupReader::Options& options,
-    int64_t now);
+    const std::string& dir, uint64_t throttle_bytes_per_sec, int64_t now);
 
-/// The incremental-restore engine: N copy workers drain a RestoreSource
-/// through two queues — a priority deque fed by queries (EnsureAvailable)
-/// and a background sequential filler — into the leaf's heap tables,
-/// honoring the same num_copy_threads / max_in_flight_bytes knobs as the
-/// blocking parallel copy engine. The leaf serves queries in the new
-/// kRestoring state the whole time: a query computes the unit set its
-/// time range touches, pulls the missing ones to the front, and blocks
-/// only on those.
+/// Creates every table of `source` in `leaf_map` with its block slots
+/// reserved (null until their blocks land; every reader skips nulls) and
+/// its unsealed tail rows replayed — so from the very first query the
+/// table's SHAPE is final and only block payloads are missing. Returns the
+/// tables in source order.
+StatusOr<std::vector<Table*>> CreateRestoreTables(const RestoreSource& source,
+                                                  const TableLimits& limits,
+                                                  int64_t now,
+                                                  LeafMap* leaf_map);
+
+/// Installs a loaded unit into its table: a block into its slot, or — for
+/// a whole-table unit — the blocks in original order followed by the
+/// unsealed tail rows. The caller serializes adopts into one table.
+Status AdoptRestoredUnit(Table* table, const RestoreUnit& unit,
+                         LoadedUnit loaded, int64_t now);
+
+/// The restore engine — the one loop that drains a RestoreSource. N copy
+/// workers pull units from two queues — a priority deque fed by queries
+/// (EnsureAvailable) and a background sequential filler — and hand each
+/// loaded unit to `adopt`.
+///
+///   - Blocking restore (Run): no queries, so no pulls; worker 0 is the
+///     calling thread (one copy thread spawns nothing) and Run returns
+///     once done has fired.
+///   - Instant restore (Start): the workers run in the background while
+///     the leaf serves queries in kRestoring; a query computes the unit
+///     set its time range touches, pulls the missing ones to the front,
+///     and blocks only on those.
+///
+/// §4.4 footprint: a unit acquires its payload bytes from the in-flight
+/// budget before it loads, in claim order (so a worker holding a later
+/// unit never starves the one at the drain frontier). Background units
+/// return the budget when the source releases their pages — for shm, when
+/// the segment's tail watermark passes them — so heap bytes not yet freed
+/// from the source never exceed the budget. Query-pulled units return it
+/// at adopt, so a query can never wedge the drain.
 ///
 /// Locking: `adopt` is called from worker threads OUTSIDE the engine
-/// mutex and must do its own locking (the leaf server takes its state
-/// mutex). `done` runs exactly once, on the last worker to leave, with no
-/// engine lock held: Status::OK() after the last unit was adopted and the
-/// source finalized, an error after Cancel() or a load failure — the leaf
-/// server uses the error path to fall back to blocking disk recovery.
+/// mutex and must do its own locking. `done` (optional) runs exactly once,
+/// on the last worker to leave, with no engine lock held: Status::OK()
+/// after the last unit was adopted and the source finalized, an error
+/// after Cancel() or a load/adopt failure (failed_unit() names the unit).
 class InstantRestoreEngine {
  public:
   struct Options {
@@ -193,8 +241,12 @@ class InstantRestoreEngine {
     uint64_t max_in_flight_bytes = 0;
     RestartHeartbeat* heartbeat = nullptr;
     /// Optional crash-surviving flight recorder: the engine appends its
-    /// start/finish/cancel decisions (with unit counts) to the ring.
+    /// start/finish/cancel decisions and per-table copy begin/end.
     FlightRecorder* flight_recorder = nullptr;
+    /// Optional heap+source byte counter (§4.4): each unit's payload is
+    /// added when it loads, and the source bytes UnitDrained frees are
+    /// subtracted.
+    FootprintCounter* footprint = nullptr;
     /// Test hook: runs after each unit is adopted (engine mutex NOT
     /// held), with the unit index. Lets tests interleave cancellation.
     std::function<void(size_t)> unit_hook;
@@ -205,15 +257,20 @@ class InstantRestoreEngine {
   using DoneFn = std::function<void(Status)>;
 
   InstantRestoreEngine(std::unique_ptr<RestoreSource> source, Options options,
-                       AdoptFn adopt, DoneFn done);
+                       AdoptFn adopt, DoneFn done = nullptr);
   /// Abandons (without done callback) and joins if still running.
   ~InstantRestoreEngine();
 
   InstantRestoreEngine(const InstantRestoreEngine&) = delete;
   InstantRestoreEngine& operator=(const InstantRestoreEngine&) = delete;
 
-  /// Spawns the workers. Call once.
+  /// Instant restore: spawns the workers and returns. Call once.
   void Start();
+
+  /// Blocking restore: drains every unit with worker 0 on the calling
+  /// thread and returns the status done received. Call once, instead of
+  /// Start.
+  Status Run();
 
   const RestoreSource& source() const { return *source_; }
   /// Index into source().tables() for `name`, or -1 when the source does
@@ -252,15 +309,30 @@ class InstantRestoreEngine {
   Progress progress() const;
 
   bool finished() const;
+  /// True for a Run() (no query pulls), false for a Start().
+  bool blocking() const { return blocking_; }
 
-  /// Cumulative per-operation stats (same struct the blocking paths
-  /// fill); valid once finished.
+  /// Per-operation stats; valid once finished.
   const RestoreStats& stats() const { return stats_; }
+  /// Disk reads vs translation over the source's open and every unit;
+  /// valid once finished.
+  const DiskRestoreStats& disk_stats() const { return disk_stats_; }
+  /// The unit whose Load or adopt failed first, or -1.
+  int64_t failed_unit() const;
 
  private:
+  /// Marks the engine started and spawns `spawn` workers.
+  void Launch(size_t spawn);
   void WorkerLoop();
   /// Picks the next unit to load, or returns false to exit the loop.
   bool PickUnit(size_t* unit, bool* on_demand);
+  /// Records a unit's copy-begin (first claim of its table).
+  void NoteClaimedLocked(size_t unit);
+  /// Stops the run after unit `u` failed with `status`.
+  void FailLocked(size_t u, Status status);
+  void ReleaseBudgetLocked(size_t unit);
+  /// Cancellation returns every held byte so no worker wedges in Acquire.
+  void ReleaseAllBudgetLocked();
   void FinishOnLastWorker();
 
   std::unique_ptr<RestoreSource> source_;
@@ -270,12 +342,17 @@ class InstantRestoreEngine {
 
   ByteBudget budget_;
   int64_t started_micros_ = 0;
+  bool blocking_ = false;
 
+  /// Held across claiming a unit and acquiring its budget, so budget is
+  /// granted in claim order. Taken before mutex_, never after it.
+  std::mutex claim_mutex_;
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;  // EnsureAvailable waiters + cancel
   RestoreBitmap bitmap_;                // adopted units
   std::vector<uint8_t> started_;       // claimed by a worker
   std::vector<uint8_t> priority_requested_;  // pulled by a query pre-start
+  std::vector<uint8_t> holds_budget_;  // budget acquired, not yet returned
   std::deque<size_t> priority_;
   size_t next_background_ = 0;
   size_t done_count_ = 0;
@@ -287,12 +364,19 @@ class InstantRestoreEngine {
   /// Finalize or Abandon already ran against the source.
   bool source_released_ = false;
   Status first_error_;
+  Status final_status_;
+  int64_t failed_unit_ = -1;
   /// Units per table, in unit order (slot order), for EnsureAvailable.
   std::vector<std::vector<size_t>> table_units_;
+  /// Units per table not yet adopted / whether its copy began, for the
+  /// flight recorder's per-table begin/end events.
+  std::vector<size_t> table_remaining_;
+  std::vector<uint8_t> table_begun_;
   /// Remaining-units-per-coarse-bucket for the heartbeat bitmap.
   std::vector<size_t> bucket_remaining_;
 
   RestoreStats stats_;
+  DiskRestoreStats disk_stats_;
   std::vector<std::thread> workers_;
 };
 

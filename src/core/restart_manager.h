@@ -2,26 +2,18 @@
 #define SCUBA_CORE_RESTART_MANAGER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "columnar/leaf_map.h"
+#include "core/footprint.h"
+#include "core/instant_restore.h"
 #include "core/restore.h"
 #include "core/shutdown.h"
-#include "disk/backup_reader.h"
-#include "disk/columnar_backup.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
 namespace scuba {
-
-/// Where a recovery ultimately sourced its data.
-enum class RecoverySource {
-  kSharedMemory,  // fast path: memcpy out of shm
-  kDisk,          // slow path: read + translate the backup
-  kFresh,         // nothing to recover (new leaf)
-};
-
-std::string_view RecoverySourceName(RecoverySource source);
 
 /// Version of the restart-report JSON artifacts
 /// (leaf_<id>.{shutdown,recovery}_report.json) and of the bench --json
@@ -67,24 +59,18 @@ struct RestartConfig {
   bool memory_recovery_enabled = true;
   /// Which on-disk backup format this leaf reads and writes.
   BackupFormatKind backup_format = BackupFormatKind::kRowMajor;
-  /// Copy/translate workers for every recovery and shutdown path; fanned
-  /// into restore.num_copy_threads, shutdown.num_copy_threads,
-  /// disk.num_threads and columnar_disk.num_threads by the constructor.
-  /// 1 keeps the paper's serial loops. Set the sub-options directly for
-  /// per-path control (the constructor only overwrites them when this is
-  /// > 1 and the sub-option is still at its default of 1).
+  /// Copy workers in both directions: the restore engine's workers, and
+  /// shutdown.num_copy_threads (the constructor copies it there, like the
+  /// leaf coordinates). 1 keeps the paper's serial loops — a blocking
+  /// restore runs its only worker on the calling thread.
   size_t num_copy_threads = 1;
-  /// Restore-side knobs.
+  /// Restore-side knobs, one set for every source.
   RestoreOptions restore;
-  /// Disk-recovery knobs (throttle, limits).
-  BackupReader::Options disk;
-  /// Columnar-disk-recovery knobs (used when backup_format == kColumnar).
-  ColumnarBackupReader::Options columnar_disk;
   /// Shutdown-side knobs.
   ShutdownOptions shutdown;
   /// Write a JSON restart report — the Fig 6/7 phase timeline, the op's
   /// stats, and a cumulative metrics snapshot — into `backup_dir` after
-  /// every Recover ("leaf_<id>.recovery_report.json") and Shutdown
+  /// every recovery ("leaf_<id>.recovery_report.json") and Shutdown
   /// ("leaf_<id>.shutdown_report.json"). The shutdown artifact is the
   /// durable sibling of the shm leaf-metadata block: the next process (or
   /// an operator) can see exactly how the previous one went down. Partial
@@ -93,43 +79,74 @@ struct RestartConfig {
   /// Skipped silently when backup_dir is empty.
   bool dump_restart_report = true;
   /// Optional restart heartbeat (owned by the server for its process
-  /// lifetime); fanned into restore.heartbeat and shutdown.heartbeat by the
-  /// constructor, and used by Recover to publish the open_metadata /
-  /// disk_recover / alive / failed phases. nullptr = no publication.
+  /// lifetime): recovery publishes its open_metadata / copy_in /
+  /// disk_recover / failed phases and the engine's byte and block progress
+  /// through it; the constructor fans it into shutdown.heartbeat.
   RestartHeartbeat* heartbeat = nullptr;
   /// Optional crash-surviving flight recorder (owned by the server, like
-  /// the heartbeat); fanned into restore.flight_recorder and
-  /// shutdown.flight_recorder by the constructor, and used by Recover to
-  /// record the open_metadata/disk_recover phases and shm->disk fallback
-  /// decisions. nullptr = off.
+  /// the heartbeat): recovery records its phases, the engine's per-table
+  /// copy begin/end and shm->disk fallback decisions; the constructor fans
+  /// it into shutdown.flight_recorder.
   FlightRecorder* flight_recorder = nullptr;
 };
 
-/// Result of RestartManager::Recover.
+/// Result of a recovery.
 struct RecoveryResult {
   RecoverySource source = RecoverySource::kFresh;
+  /// The restore engine's counters for whichever source it drained (named
+  /// for the fast path; disk sources fill them too).
   RestoreStats shm_stats;
-  BackupReader::Stats disk_stats;            // row-major path
-  ColumnarBackupReader::Stats columnar_stats;  // columnar path
-  /// Status of the abandoned shm attempt when source == kDisk (OK when the
-  /// disk path was taken because there was simply nothing in shm).
+  /// Disk reads vs translation (Fig 5b) when the source was a backup.
+  DiskRestoreStats disk_stats;
+  /// Status of the abandoned shm attempt when source != kSharedMemory (OK
+  /// when memory recovery is disabled, NotFound when there was simply
+  /// nothing in shm).
   Status shm_attempt_status;
-  /// Phase timeline of this recovery (obs::PhaseTracer::ToJson format):
-  /// shm spans (open_metadata/copy_in/...) and/or disk spans
-  /// (disk_read/disk_translate).
+  /// Phase timeline of a blocking recovery (obs::PhaseTracer::ToJson
+  /// format): shm spans (open_metadata/copy_in/destroy_metadata) or disk
+  /// spans (disk_read/disk_translate), then expire.
   std::string trace_json;
 };
 
-/// Ties the two recovery paths together with the decision logic of
-/// Fig 5b / §4.3: try shared memory if enabled and present; on any
-/// failure, scrub shm and fall back to the on-disk backup.
+/// Ties the restore sources together with the decision logic of Fig 5b /
+/// §4.3 — shared memory if enabled and present; on any failure, scrub shm
+/// and fall back to the on-disk backup — and drains the chosen source with
+/// the restore engine.
 class RestartManager {
  public:
   explicit RestartManager(RestartConfig config);
 
-  /// Recovers a leaf's state into `leaf_map` (which must be empty).
-  /// `now` is the unix timestamp for block creation / expiry decisions.
-  StatusOr<RecoveryResult> Recover(LeafMap* leaf_map, int64_t now);
+  /// Blocking recovery of a leaf's state into `leaf_map` (which must be
+  /// empty): the restore engine with no query pulls. An shm load failure
+  /// scrubs shm, clears the map and retries from disk; a .cols block that
+  /// fails to load cuts its table there and retries, keeping the clean
+  /// prefix and replaying only the matching tail. `now` is the unix
+  /// timestamp for block creation / expiry decisions; `tracker` observes
+  /// the heap+shm footprint of an shm restore (§4.4).
+  StatusOr<RecoveryResult> Recover(LeafMap* leaf_map, int64_t now,
+                                   FootprintTracker* tracker = nullptr);
+
+  /// Fig 5b's source choice, for Recover and the leaf server's instant
+  /// restore alike: shared memory when enabled and valid, else the backup
+  /// in this leaf's format. An shm failure scrubs shm and is recorded in
+  /// result->shm_attempt_status; shm is tried only while that status is
+  /// OK, so a retry goes straight to disk. `cols_cuts` cuts .cols tables
+  /// where an earlier attempt failed. Publishes the chosen phase and byte
+  /// total on the heartbeat. NotFound when there is nothing to restore.
+  StatusOr<std::unique_ptr<RestoreSource>> OpenSource(
+      int64_t now, RecoveryResult* result, obs::PhaseTracer* tracer = nullptr,
+      const ColsCuts& cols_cuts = {});
+
+  /// Engine options from this config (threads, budget, observers).
+  InstantRestoreEngine::Options EngineOptions() const;
+
+  /// Ends a recovery, blocking or instant: runs the deferred expiry over
+  /// `leaf_map` (Fig 5: "deletions are made after recovery"), fills
+  /// `result` from the finished `engine` (nullptr: nothing was restored),
+  /// and writes the recovery report with `tracer`'s timeline.
+  void FinishRecovery(const InstantRestoreEngine* engine, LeafMap* leaf_map,
+                      int64_t now, obs::PhaseTracer* tracer,
+                      RecoveryResult* result);
 
   /// Clean-shutdown backup into shared memory (Fig 6). On failure the
   /// valid bit stays false and the caller should exit anyway — the next
@@ -140,14 +157,6 @@ class RestartManager {
   /// Removes every shm segment belonging to this leaf (crash cleanup,
   /// "memory recovery disabled" path, tests).
   size_t ScrubSharedMemory();
-
-  /// Writes the "recovery" report for an instant restore that completed
-  /// OUTSIDE Recover() — the leaf server drives the on-demand engine and
-  /// calls this when the last block lands. Adds the on-demand/background
-  /// block split to the standard recovery-report body.
-  void WriteInstantRecoveryReport(RecoverySource source,
-                                  const RestoreStats& stats,
-                                  const std::string& trace_json);
 
   const RestartConfig& config() const { return config_; }
 
@@ -164,6 +173,30 @@ class RestartManager {
   RestartConfig config_;
   std::string last_shutdown_trace_json_;
 };
+
+/// Restores from shared memory alone — RestartManager::Recover with no
+/// disk backup — and returns OK when the data came from shm, else the
+/// abandoned attempt's status: NotFound (nothing in shm),
+/// FailedPrecondition (valid bit false, layout mismatch, unreadable
+/// segments; all destroyed) or Corruption (a block failed to load; shm
+/// scrubbed, `leaf_map` left empty). Fig 7 end to end:
+///
+///   if valid bit is false
+///     delete shared memory segments; recover from disk    (caller's job)
+///   set valid bit to false
+///   for each table shared memory segment
+///     for each row block
+///       for each row block column
+///         allocate memory in heap; copy data from table segment to heap
+///       truncate the table shared memory segment if needed
+///     delete the table shared memory segment
+///   delete the metadata shared memory segment
+///
+/// If the restore is interrupted (process dies mid-restore), the valid bit
+/// is already false, so the next restart goes to disk (Fig 7 caption).
+Status RestoreFromShm(LeafMap* leaf_map, const RestartConfig& config,
+                      RestoreStats* stats,
+                      FootprintTracker* tracker = nullptr);
 
 }  // namespace scuba
 

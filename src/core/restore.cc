@@ -1,514 +1,17 @@
 #include "core/restore.h"
 
-#include <atomic>
-#include <cstring>
-#include <memory>
-#include <mutex>
-#include <utility>
-#include <vector>
-
-#include "obs/metrics.h"
-#include "shm/leaf_metadata.h"
-#include "shm/table_segment.h"
-#include "util/clock.h"
-#include "util/logging.h"
-#include "util/thread_pool.h"
-
 namespace scuba {
-namespace {
 
-// Cumulative process-wide mirror of RestoreStats (scuba.core.restore.*).
-struct RestoreMetrics {
-  obs::Counter* operations;
-  obs::Counter* tables;
-  obs::Counter* row_blocks;
-  obs::Counter* columns;
-  obs::Counter* bytes;
-  obs::Counter* blocks_on_demand;
-  obs::Counter* blocks_background;
-  obs::Histogram* block_bytes;
-  obs::Histogram* elapsed_micros;
-
-  static RestoreMetrics& Get() {
-    auto& reg = obs::MetricsRegistry::Global();
-    static RestoreMetrics m{
-        reg.GetCounter("scuba.core.restore.operations"),
-        reg.GetCounter("scuba.core.restore.tables_restored"),
-        reg.GetCounter("scuba.core.restore.row_blocks_restored"),
-        reg.GetCounter("scuba.core.restore.columns_restored"),
-        reg.GetCounter("scuba.core.restore.bytes_copied"),
-        reg.GetCounter("scuba.core.restore.blocks_on_demand"),
-        reg.GetCounter("scuba.core.restore.blocks_background"),
-        reg.GetHistogram("scuba.core.restore.block_bytes"),
-        reg.GetHistogram("scuba.core.restore.elapsed_micros")};
-    return m;
+std::string_view RecoverySourceName(RecoverySource source) {
+  switch (source) {
+    case RecoverySource::kSharedMemory:
+      return "shared-memory";
+    case RecoverySource::kDisk:
+      return "disk";
+    case RecoverySource::kFresh:
+      return "fresh";
   }
-};
-
-// Leaked /dev/shm segments are invisible to the process that leaked them;
-// a destroy failure must at least leave a trace for the operator. The
-// warning metric makes the partial failure visible to dashboards, not
-// just whoever happens to read stderr.
-void DestroyAllSegmentsLogged(LeafMetadata* meta, const char* why) {
-  Status s = meta->DestroyAllSegments();
-  if (!s.ok()) {
-    obs::IncrCounter("scuba.core.restore.shm_scrub_failures");
-    SCUBA_WARN << "failed to destroy shm segments (" << why
-               << "); /dev/shm segments may be leaked: " << s.ToString();
-  }
-}
-
-// Copies one column out of a segment into a fresh heap buffer and parses
-// it (Fig 7's "allocate memory in heap; copy data from table segment to
-// heap" — a single memcpy thanks to offset-only addressing).
-StatusOr<std::unique_ptr<RowBlockColumn>> CopyColumnToHeap(
-    const uint8_t* src, size_t size, bool verify_checksums) {
-  std::unique_ptr<uint8_t[]> heap_buf(new uint8_t[size]);
-  std::memcpy(heap_buf.get(), src, size);
-  SCUBA_ASSIGN_OR_RETURN(
-      RowBlockColumn column,
-      RowBlockColumn::FromBuffer(std::move(heap_buf), size,
-                                 verify_checksums));
-  return std::make_unique<RowBlockColumn>(std::move(column));
-}
-
-// Restores one table segment into a fresh Table, draining row blocks from
-// the tail and truncating the segment as it goes. Serial Fig 7 path.
-Status RestoreTableSegment(const std::string& segment_name,
-                           const RestoreOptions& options, LeafMap* leaf_map,
-                           RestoreStats* stats, FootprintCounter* footprint) {
-  RestoreMetrics& metrics = RestoreMetrics::Get();
-  obs::PhaseTracer* tracer = options.tracer;
-  SCUBA_ASSIGN_OR_RETURN(TableSegmentReader reader,
-                         TableSegmentReader::Open(segment_name));
-
-  SCUBA_ASSIGN_OR_RETURN(
-      Table * table,
-      leaf_map->CreateTable(reader.table_name(), options.table_limits));
-
-  obs::PhaseTracer::Span table_span(tracer, "table:" + reader.table_name());
-  if (options.flight_recorder != nullptr) {
-    options.flight_recorder->Record(FlightRecorder::EventType::kTableCopyBegin,
-                                    RestartPhase::kCopyIn, reader.table_name(),
-                                    reader.segment_bytes(),
-                                    reader.num_row_blocks());
-  }
-
-  const size_t num_blocks = reader.num_row_blocks();
-  uint64_t table_payload = 0;
-  // Tail-first drain: blocks are collected newest-first, then adopted in
-  // original order.
-  std::vector<std::unique_ptr<RowBlock>> reversed;
-  reversed.reserve(num_blocks);
-
-  for (size_t rb = num_blocks; rb-- > 0;) {
-    const TableSegmentReader::BlockEntry& entry = reader.block(rb);
-    const size_t num_columns = entry.columns.size();
-
-    uint64_t block_payload = 0;
-    std::vector<std::unique_ptr<RowBlockColumn>> columns(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      Slice src = reader.ColumnSlice(rb, c);
-      SCUBA_ASSIGN_OR_RETURN(
-          columns[c],
-          CopyColumnToHeap(src.data(), src.size(), options.verify_checksums));
-      footprint->Add(src.size());
-      stats->bytes_copied += src.size();
-      ++stats->columns_restored;
-      metrics.bytes->Add(src.size());
-      metrics.columns->Add(1);
-      if (options.heartbeat != nullptr) {
-        options.heartbeat->AddBytesCopied(src.size());
-      }
-      block_payload += src.size();
-    }
-    table_span.AddBytes(block_payload);
-    table_payload += block_payload;
-    metrics.block_bytes->Record(block_payload);
-
-    SCUBA_ASSIGN_OR_RETURN(
-        std::unique_ptr<RowBlock> block,
-        RowBlock::FromParts(entry.meta.header, entry.meta.schema,
-                            std::move(columns)));
-    reversed.push_back(std::move(block));
-    ++stats->row_blocks_restored;
-    metrics.row_blocks->Add(1);
-
-    // Fig 7: truncate the table shared memory segment if needed — the
-    // drained tail's pages go back to the OS immediately.
-    size_t before = reader.segment_bytes();
-    int64_t truncate_start = tracer != nullptr ? tracer->ElapsedMicros() : 0;
-    SCUBA_RETURN_IF_ERROR(reader.TruncateTo(entry.block_offset));
-    if (tracer != nullptr && reader.segment_bytes() != before) {
-      tracer->AddCompletedSpan("segment_truncate", truncate_start,
-                               tracer->ElapsedMicros(),
-                               before - reader.segment_bytes());
-    }
-    footprint->Sub(before - reader.segment_bytes());
-  }
-
-  for (size_t i = reversed.size(); i-- > 0;) {
-    table->AdoptRowBlock(std::move(reversed[i]));
-  }
-
-  // Fig 7: delete the table shared memory segment.
-  std::string table_name = reader.table_name();
-  SCUBA_RETURN_IF_ERROR(reader.Unlink());
-  ++stats->tables_restored;
-  metrics.tables->Add(1);
-  if (options.flight_recorder != nullptr) {
-    options.flight_recorder->Record(FlightRecorder::EventType::kTableCopyEnd,
-                                    RestartPhase::kCopyIn, table_name,
-                                    table_payload, num_blocks);
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Parallel restore engine
-// ---------------------------------------------------------------------------
-
-// Per-segment state shared by the copy workers.
-struct SegmentRestoreJob {
-  explicit SegmentRestoreJob(TableSegmentReader r)
-      : reader(std::move(r)), base(reader.data()) {}
-
-  TableSegmentReader reader;
-  // Stable base of the mapping, captured before any task runs: truncation
-  // shrinks the mapping in place, so base + offset stays valid for every
-  // not-yet-drained block. Workers read through this instead of the reader
-  // so they never race with TruncateTo's internal bookkeeping.
-  const uint8_t* base = nullptr;
-  Table* table = nullptr;
-  std::vector<std::unique_ptr<RowBlock>> blocks;   // slot per block index
-  std::vector<uint64_t> payload_bytes;             // per block: column bytes
-
-  // Fig 7's truncate-as-you-drain under concurrency: a block's shm pages
-  // (and its byte budget) are released only once every block behind it —
-  // toward the segment tail — has also finished, so truncation remains
-  // strictly tail-ordered no matter how copies complete.
-  std::mutex mutex;
-  std::vector<uint8_t> done;
-  size_t drained = 0;
-};
-
-// Cross-segment control shared by every task.
-struct RestoreControl {
-  explicit RestoreControl(uint64_t budget_limit) : budget(budget_limit) {}
-
-  ByteBudget budget;
-  std::atomic<bool> cancelled{false};
-  std::mutex error_mutex;
-  Status first_error;
-
-  void RecordError(Status s) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error.ok()) first_error = std::move(s);
-    }
-    cancelled.store(true, std::memory_order_release);
-  }
-};
-
-// Copies block `rb` of `job` to the heap, verifying checksums if asked.
-// On failure, uncounts every byte it added: the partial columns are freed
-// on return, so leaving them counted would overstate the tracker's
-// last/peak readings on the fallback path.
-Status CopyOneBlock(SegmentRestoreJob* job, size_t rb, bool verify_checksums,
-                    RestartHeartbeat* heartbeat, RestoreStats* stats,
-                    FootprintCounter* footprint) {
-  const TableSegmentReader::BlockEntry& entry = job->reader.block(rb);
-  const size_t num_columns = entry.columns.size();
-
-  RestoreMetrics& metrics = RestoreMetrics::Get();
-  uint64_t added = 0;
-  std::vector<std::unique_ptr<RowBlockColumn>> columns(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    const auto& [offset, size] = entry.columns[c];
-    auto column =
-        CopyColumnToHeap(job->base + offset, size, verify_checksums);
-    if (!column.ok()) {
-      footprint->Sub(added);
-      return column.status();
-    }
-    columns[c] = std::move(column).value();
-    footprint->Add(size);
-    added += size;
-    stats->bytes_copied += size;
-    ++stats->columns_restored;
-    metrics.bytes->Add(size);
-    metrics.columns->Add(1);
-    if (heartbeat != nullptr) heartbeat->AddBytesCopied(size);
-  }
-  metrics.block_bytes->Record(added);
-
-  auto block = RowBlock::FromParts(entry.meta.header, entry.meta.schema,
-                                   std::move(columns));
-  if (!block.ok()) {
-    footprint->Sub(added);
-    return block.status();
-  }
-  job->blocks[rb] = std::move(block).value();
-  ++stats->row_blocks_restored;
-  metrics.row_blocks->Add(1);
-  return Status::OK();
-}
-
-// Terminal bookkeeping of one block task: mark it done and advance the
-// segment's tail watermark, truncating and releasing budget for every
-// newly contiguous drained block. Runs even when the task was skipped
-// after cancellation, so the budget always drains and the submitting
-// thread can never wedge in Acquire.
-void FinishBlock(SegmentRestoreJob* job, size_t rb, RestoreControl* ctl,
-                 FootprintCounter* footprint) {
-  std::lock_guard<std::mutex> lock(job->mutex);
-  job->done[rb] = 1;
-  const size_t n = job->reader.num_row_blocks();
-  while (job->drained < n && job->done[n - 1 - job->drained] != 0) {
-    size_t idx = n - 1 - job->drained;
-    if (!ctl->cancelled.load(std::memory_order_acquire)) {
-      size_t before = job->reader.segment_bytes();
-      Status s = job->reader.TruncateTo(job->reader.block(idx).block_offset);
-      if (s.ok()) {
-        footprint->Sub(before - job->reader.segment_bytes());
-      } else {
-        ctl->RecordError(std::move(s));
-      }
-    }
-    ctl->budget.Release(job->payload_bytes[idx]);
-    ++job->drained;
-  }
-}
-
-// Restores all table segments with a worker pool: copies fan out across
-// row blocks and across segments, budget-gated tail-first.
-Status RestoreSegmentsParallel(const std::vector<std::string>& segment_names,
-                               const RestoreOptions& options,
-                               LeafMap* leaf_map, RestoreStats* stats,
-                               FootprintCounter* footprint) {
-  const size_t threads = std::max<size_t>(1, options.num_copy_threads);
-
-  // Open every segment up front (mapping adds no physical memory — the
-  // pages already live in /dev/shm) to size the auto budget and create
-  // the tables.
-  std::vector<std::unique_ptr<SegmentRestoreJob>> jobs;
-  jobs.reserve(segment_names.size());
-  uint64_t max_block_bytes = 0;
-  for (const std::string& segment_name : segment_names) {
-    SCUBA_ASSIGN_OR_RETURN(TableSegmentReader reader,
-                           TableSegmentReader::Open(segment_name));
-    auto job = std::make_unique<SegmentRestoreJob>(std::move(reader));
-    SCUBA_ASSIGN_OR_RETURN(
-        job->table,
-        leaf_map->CreateTable(job->reader.table_name(), options.table_limits));
-    const size_t n = job->reader.num_row_blocks();
-    job->blocks.resize(n);
-    job->done.assign(n, 0);
-    job->payload_bytes.resize(n);
-    for (size_t rb = 0; rb < n; ++rb) {
-      uint64_t payload = 0;
-      for (const auto& [offset, size] : job->reader.block(rb).columns) {
-        (void)offset;
-        payload += size;
-      }
-      job->payload_bytes[rb] = payload;
-      max_block_bytes = std::max(max_block_bytes, payload);
-    }
-    if (options.flight_recorder != nullptr) {
-      options.flight_recorder->Record(
-          FlightRecorder::EventType::kTableCopyBegin, RestartPhase::kCopyIn,
-          job->reader.table_name(), job->reader.segment_bytes(), n);
-    }
-    jobs.push_back(std::move(job));
-  }
-
-  uint64_t budget_limit = options.max_in_flight_bytes != 0
-                              ? options.max_in_flight_bytes
-                              : threads * max_block_bytes;
-  RestoreControl ctl(budget_limit);
-  const bool verify = options.verify_checksums;
-  RestartHeartbeat* heartbeat = options.heartbeat;
-
-  {
-    // Scoped so the pool drains and joins before jobs/ctl are destroyed,
-    // including on the cancellation path.
-    ThreadPool pool(threads);
-    for (auto& job_ptr : jobs) {
-      SegmentRestoreJob* job = job_ptr.get();
-      const size_t n = job->reader.num_row_blocks();
-      // Tail-first submission + tail-first budget acquisition: the block
-      // at the truncation watermark always holds budget already, so
-      // workers cluster near the drain frontier and the footprint bound
-      // follows from the budget alone.
-      for (size_t rb = n; rb-- > 0;) {
-        if (ctl.cancelled.load(std::memory_order_acquire)) break;
-        ctl.budget.Acquire(job->payload_bytes[rb]);
-        pool.Submit([job, rb, &ctl, stats, footprint, verify, heartbeat] {
-          if (!ctl.cancelled.load(std::memory_order_acquire)) {
-            Status s =
-                CopyOneBlock(job, rb, verify, heartbeat, stats, footprint);
-            if (!s.ok()) ctl.RecordError(std::move(s));
-          }
-          FinishBlock(job, rb, &ctl, footprint);
-        });
-      }
-      if (ctl.cancelled.load(std::memory_order_acquire)) break;
-    }
-    pool.Wait();
-  }
-
-  if (ctl.cancelled.load(std::memory_order_acquire)) {
-    // The blocks copied so far are dropped with `jobs` on return; uncount
-    // them so the tracker matches the heap (failed blocks' partial columns
-    // were already uncounted by CopyOneBlock itself).
-    for (const auto& job_ptr : jobs) {
-      for (size_t rb = 0; rb < job_ptr->blocks.size(); ++rb) {
-        if (job_ptr->blocks[rb] != nullptr) {
-          footprint->Sub(job_ptr->payload_bytes[rb]);
-        }
-      }
-    }
-    std::lock_guard<std::mutex> lock(ctl.error_mutex);
-    return ctl.first_error.ok()
-               ? Status::Internal("parallel restore cancelled")
-               : ctl.first_error;
-  }
-
-  // All copies landed; adopt in original block order and delete the
-  // segments (Fig 7).
-  RestoreMetrics& metrics = RestoreMetrics::Get();
-  for (auto& job_ptr : jobs) {
-    SegmentRestoreJob* job = job_ptr.get();
-    for (auto& block : job->blocks) {
-      job->table->AdoptRowBlock(std::move(block));
-    }
-    uint64_t table_payload = 0;
-    for (uint64_t payload : job->payload_bytes) table_payload += payload;
-    std::string table_name = job->reader.table_name();
-    SCUBA_RETURN_IF_ERROR(job->reader.Unlink());
-    ++stats->tables_restored;
-    metrics.tables->Add(1);
-    if (options.flight_recorder != nullptr) {
-      options.flight_recorder->Record(FlightRecorder::EventType::kTableCopyEnd,
-                                      RestartPhase::kCopyIn, table_name,
-                                      table_payload, job->blocks.size());
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status RestoreFromShm(LeafMap* leaf_map, const RestoreOptions& options,
-                      RestoreStats* stats, FootprintTracker* tracker) {
-  Stopwatch watch;
-  obs::PhaseTracer* tracer = options.tracer;
-  // Opens immediately so the existence probe and first-call metric-handle
-  // initialization do not show up as a hole at the front of the timeline.
-  // RAII ends it on the early-return paths.
-  obs::PhaseTracer::Span open_span(tracer, "open_metadata");
-
-  if (!LeafMetadata::Exists(options.namespace_prefix, options.leaf_id)) {
-    return Status::NotFound("no shared memory metadata for leaf " +
-                            std::to_string(options.leaf_id));
-  }
-  RestoreMetrics::Get().operations->Add(1);
-
-  auto meta_or = LeafMetadata::Open(options.namespace_prefix, options.leaf_id);
-  if (!meta_or.ok()) {
-    // Unreadable metadata: scrub any segments we can find by prefix so the
-    // broken state does not linger, then send the caller to disk.
-    ShmSegment::RemoveAll("/" + options.namespace_prefix + "_leaf_" +
-                          std::to_string(options.leaf_id) + "_");
-    return Status::FailedPrecondition("leaf metadata unreadable: " +
-                                      meta_or.status().ToString());
-  }
-  LeafMetadata meta = std::move(meta_or).value();
-
-  // Fig 7: if valid bit is false -> delete segments, recover from disk.
-  if (!meta.valid()) {
-    DestroyAllSegmentsLogged(&meta, "valid bit false");
-    return Status::FailedPrecondition(
-        "shared memory valid bit is false (crash or interrupted restore)");
-  }
-  // Layout version mismatch: the new binary cannot interpret the segments.
-  if (meta.layout_version() != kShmLayoutVersion) {
-    DestroyAllSegmentsLogged(&meta, "layout version mismatch");
-    return Status::FailedPrecondition(
-        "shared memory layout version mismatch: segment v" +
-        std::to_string(meta.layout_version()) + " vs binary v" +
-        std::to_string(kShmLayoutVersion));
-  }
-
-  // Fig 7: set valid bit to false — if restore is interrupted from here
-  // on, the next restart will take the disk path.
-  SCUBA_RETURN_IF_ERROR(meta.SetValid(false));
-  open_span.End();
-
-  // The copy-in phase: every segment's blocks memcpy'd back to the heap,
-  // truncating shm as the drain advances.
-  obs::PhaseTracer::Span copy_span(tracer, "copy_in");
-
-  uint64_t shm_bytes = TotalShmBytes("/" + options.namespace_prefix +
-                                     "_leaf_" +
-                                     std::to_string(options.leaf_id) + "_");
-  FootprintCounter footprint(shm_bytes, tracker);
-  if (options.heartbeat != nullptr) {
-    options.heartbeat->SetBytesTotal(shm_bytes);
-    options.heartbeat->SetPhase(RestartPhase::kCopyIn);
-  }
-  if (options.flight_recorder != nullptr) {
-    options.flight_recorder->Record(FlightRecorder::EventType::kPhase,
-                                    RestartPhase::kCopyIn, "", shm_bytes,
-                                    meta.table_segment_names().size());
-  }
-
-  Status restore_status;
-  if (options.num_copy_threads > 1 && !meta.table_segment_names().empty()) {
-    restore_status = RestoreSegmentsParallel(meta.table_segment_names(),
-                                             options, leaf_map, stats,
-                                             &footprint);
-  } else {
-    for (const std::string& segment_name : meta.table_segment_names()) {
-      restore_status = RestoreTableSegment(segment_name, options, leaf_map,
-                                           stats, &footprint);
-      if (!restore_status.ok()) break;
-    }
-  }
-  if (!restore_status.ok()) {
-    SCUBA_WARN << "memory recovery failed: " << restore_status.ToString()
-               << "; falling back to disk";
-    if (options.flight_recorder != nullptr) {
-      options.flight_recorder->Record(FlightRecorder::EventType::kError,
-                                      RestartPhase::kCopyIn,
-                                      restore_status.ToString());
-    }
-    DestroyAllSegmentsLogged(&meta, "restore failed mid-way");
-    leaf_map->Clear();
-    return Status::Corruption("memory recovery failed: " +
-                              restore_status.ToString());
-  }
-
-  copy_span.AddBytes(stats->bytes_copied.load());
-  copy_span.End();
-
-  // Fig 7: delete the metadata shared memory segment.
-  obs::PhaseTracer::Span destroy_span(tracer, "destroy_metadata");
-  SCUBA_RETURN_IF_ERROR(meta.Destroy());
-  destroy_span.End();
-
-  // Epilogue span: stats recording plus the restore log line, so the
-  // timeline covers (nearly) all wall time.
-  obs::PhaseTracer::Span report_span(tracer, "report");
-  stats->elapsed_micros = watch.ElapsedMicros();
-  RestoreMetrics::Get().elapsed_micros->Record(
-      static_cast<uint64_t>(stats->elapsed_micros.load()));
-  SCUBA_INFO << "restore-from-shm: " << stats->tables_restored << " tables, "
-             << stats->bytes_copied << " bytes in "
-             << stats->elapsed_micros / 1000 << " ms ("
-             << std::max<size_t>(1, options.num_copy_threads)
-             << (options.num_copy_threads > 1 ? " threads)" : " thread)");
-  return Status::OK();
+  return "unknown";
 }
 
 }  // namespace scuba

@@ -3,54 +3,48 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
-#include "columnar/leaf_map.h"
-#include "core/footprint.h"
+#include "columnar/table.h"
+#include "disk/backup_reader.h"
 #include "obs/trace.h"
-#include "shm/flight_recorder.h"
-#include "shm/restart_heartbeat.h"
-#include "util/status.h"
 
 namespace scuba {
 
-/// Options for the restore-from-shared-memory path (Fig 7).
-struct RestoreOptions {
-  std::string namespace_prefix = "scuba";
-  uint32_t leaf_id = 0;
-  /// Verify each column's CRC32C while adopting it (cheap insurance; the
-  /// paper trusts clean-shutdown state, but the checksum catches torn
-  /// segments and fat-fingered segment names).
-  bool verify_checksums = true;
-  /// Retention limits applied to restored tables.
-  TableLimits table_limits;
-  /// Copy workers for the shm->heap memcpy + checksum fan-out; work is
-  /// spread across row blocks and across table segments. 1 keeps the
-  /// paper's serial Fig 7 loop.
-  size_t num_copy_threads = 1;
-  /// Cap on bytes copied to heap whose shm pages have not yet been
-  /// truncated away. Truncation is tail-ordered per segment, so the unit
-  /// of release is a row block. 0 = auto: num_copy_threads x the largest
-  /// row block payload.
-  uint64_t max_in_flight_bytes = 0;
-  /// Optional phase tracer: records the Fig 7 timeline as back-to-back
-  /// root spans (open_metadata, copy_in, destroy_metadata); the serial
-  /// path adds per-table and segment_truncate child spans. nullptr =
-  /// tracing off.
-  obs::PhaseTracer* tracer = nullptr;
-  /// Optional restart heartbeat: the restore publishes bytes_total, the
-  /// copy_in phase, and per-block byte progress through it so the recovery
-  /// is observable from OUTSIDE the process. nullptr = off.
-  RestartHeartbeat* heartbeat = nullptr;
-  /// Optional flight recorder: the restore appends the copy_in phase,
-  /// per-table begin/end and any mid-restore error string to the
-  /// crash-surviving ring. nullptr = off.
-  FlightRecorder* flight_recorder = nullptr;
+/// Where a recovery ultimately sourced its data.
+enum class RecoverySource {
+  kSharedMemory,  // fast path: memcpy out of shm
+  kDisk,          // slow path: read + translate the backup
+  kFresh,         // nothing to recover (new leaf)
 };
 
-/// Counters from one restore. Fields are atomics because the parallel
-/// copy engine updates them from every worker; copying the struct takes a
-/// snapshot.
+std::string_view RecoverySourceName(RecoverySource source);
+
+/// Restore-side knobs, one set for every source the restore engine drains
+/// (shm segments, .cols and .bak backups). The copy-thread count is
+/// RestartConfig::num_copy_threads, shared with the shutdown direction.
+struct RestoreOptions {
+  /// Verify each column's CRC32C while loading it — shm and .cols alike
+  /// (cheap insurance; the paper trusts clean-shutdown state, but the
+  /// checksum catches torn segments and fat-fingered segment names).
+  bool verify_checksums = true;
+  /// Retention limits applied to restored tables; expiry runs once, after
+  /// the engine finishes (Fig 5: "deletions are made after recovery").
+  TableLimits table_limits;
+  /// >0 paces backup-file reads to model a slow disk (bytes/second).
+  uint64_t disk_throttle_bytes_per_sec = 0;
+  /// Cap on bytes copied to the heap whose source pages have not been
+  /// released yet (§4.4's footprint invariant, widened from one row block
+  /// to this budget). 0 = auto: copy threads x the largest restore unit.
+  uint64_t max_in_flight_bytes = 0;
+  /// Optional phase tracer for RestartManager::Recover's timeline (Fig 7's
+  /// open_metadata, copy_in, destroy_metadata; disk_read, disk_translate;
+  /// then expire). nullptr = Recover keeps a private one for the report.
+  obs::PhaseTracer* tracer = nullptr;
+};
+
+/// Counters from one restore engine run. Fields are atomics because every
+/// copy worker updates them; copying the struct takes a snapshot.
 ///
 /// This is the PER-OPERATION view; the same increments also land in the
 /// process-wide MetricsRegistry under scuba.core.restore.* (cumulative
@@ -61,9 +55,9 @@ struct RestoreStats {
   std::atomic<uint64_t> columns_restored{0};
   std::atomic<uint64_t> bytes_copied{0};
   std::atomic<int64_t> elapsed_micros{0};
-  /// Instant restore only: split of row_blocks_restored into query-driven
-  /// priority pulls vs. the background sequential filler. Both zero on the
-  /// blocking restore paths.
+  /// Split of the restored units into query-driven priority pulls vs. the
+  /// background sequential filler. A blocking restore has no queries, so
+  /// every unit is background.
   std::atomic<uint64_t> blocks_on_demand{0};
   std::atomic<uint64_t> blocks_background{0};
 
@@ -80,47 +74,6 @@ struct RestoreStats {
     return *this;
   }
 };
-
-/// Restores a leaf's tables from shared memory into `leaf_map`, following
-/// Fig 7:
-///
-///   if valid bit is false
-///     delete shared memory segments; recover from disk    (caller's job)
-///   set valid bit to false
-///   for each table shared memory segment
-///     for each row block
-///       for each row block column
-///         allocate memory in heap; copy data from table segment to heap
-///       truncate the table shared memory segment if needed
-///     delete the table shared memory segment
-///   delete the metadata shared memory segment
-///
-/// Returns:
-///  - NotFound            — no metadata segment (first boot / after crash
-///                          cleanup); caller recovers from disk.
-///  - FailedPrecondition  — valid bit false or layout version mismatch;
-///                          segments are deleted; caller recovers from disk.
-///  - Corruption          — segment contents failed validation mid-restore;
-///                          all segments are deleted and `leaf_map` is
-///                          cleared; caller recovers from disk.
-///
-/// If THIS code path is interrupted (process dies mid-restore), the valid
-/// bit is already false, so the next restart goes to disk (Fig 7 caption).
-///
-/// Row blocks are drained tail-first so the segment can be truncated as it
-/// empties, mirroring the shutdown path's flat memory footprint (§4.4);
-/// block order within each table is preserved in the rebuilt state.
-///
-/// With options.num_copy_threads > 1 block copies (and checksum verifies)
-/// fan out over a worker pool, across row blocks and across table
-/// segments. The valid-bit / truncate-as-you-drain protocol is preserved:
-/// a ByteBudget is acquired tail-first before each block is dispatched,
-/// and each segment is truncated only up to the contiguous run of
-/// completed blocks at its tail (a per-segment watermark), releasing that
-/// run's budget. Segment truncation shrinks the mapping in place, so
-/// workers copying earlier blocks never see the base address move.
-Status RestoreFromShm(LeafMap* leaf_map, const RestoreOptions& options,
-                      RestoreStats* stats, FootprintTracker* tracker = nullptr);
 
 }  // namespace scuba
 

@@ -60,6 +60,10 @@ class LeafStateMachine {
   /// Moves to `next` if that edge exists; FailedPrecondition otherwise.
   Status Transition(LeafState next);
 
+  /// Process death (a crash or kill) from any state. Not a Fig 5 edge: a
+  /// dead leaf simply stops, in the terminal state a clean exit reaches.
+  void ForceExit() { state_ = LeafState::kExit; }
+
   static bool IsAllowed(LeafState from, LeafState to);
 
   // Permissible actions per state (§4.3): memory recovery accepts nothing;

@@ -1,19 +1,15 @@
 #include "disk/backup_reader.h"
 
-#include <memory>
-#include <mutex>
-
 #include "disk/backup_format.h"
 #include "disk/file.h"
 #include "obs/metrics.h"
 #include "util/clock.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace scuba {
 namespace {
 
-// Cumulative process-wide mirror of BackupReader::Stats
+// Cumulative process-wide counters of .bak recoveries
 // (scuba.disk.backup.read.*).
 struct ReaderMetrics {
   obs::Counter* tables;
@@ -39,15 +35,14 @@ struct ReaderMetrics {
 }  // namespace
 
 Status BackupReader::RecoverTable(const std::string& path, Table* table,
-                                  const Options& options, int64_t now,
-                                  Stats* stats) {
+                                  uint64_t throttle_bytes_per_sec, int64_t now,
+                                  DiskRestoreStats* stats) {
   ReaderMetrics& metrics = ReaderMetrics::Get();
 
   // Phase 1: the raw disk read (20-25 minutes of the paper's recovery).
   Stopwatch read_watch;
   ByteBuffer contents;
-  SCUBA_RETURN_IF_ERROR(
-      ReadFileFully(path, &contents, options.throttle_bytes_per_sec));
+  SCUBA_RETURN_IF_ERROR(ReadFileFully(path, &contents, throttle_bytes_per_sec));
   int64_t read_micros = read_watch.ElapsedMicros();
   stats->read_micros += read_micros;
   stats->bytes_read += contents.size();
@@ -77,58 +72,12 @@ Status BackupReader::RecoverTable(const std::string& path, Table* table,
     SCUBA_RETURN_IF_ERROR(table->AddRows(rows, now));
   }
   SCUBA_RETURN_IF_ERROR(table->SealWriteBuffer(now));
-  table->ExpireData(now);
 
   int64_t translate_micros = translate_watch.ElapsedMicros();
   stats->translate_micros += translate_micros;
-  stats->rows_recovered += table->RowCount() - rows_before;
-  ++stats->tables_recovered;
   metrics.translate_micros->Record(static_cast<uint64_t>(translate_micros));
   metrics.rows->Add(table->RowCount() - rows_before);
   metrics.tables->Add(1);
-  return Status::OK();
-}
-
-Status BackupReader::RecoverLeaf(const std::string& dir, LeafMap* leaf_map,
-                                 const Options& options, int64_t now,
-                                 Stats* stats) {
-  SCUBA_ASSIGN_OR_RETURN(std::vector<std::string> files,
-                         ListFiles(dir, ".bak"));
-
-  // Create all tables serially (LeafMap is not thread-safe), then fan the
-  // per-table read+translate out: tables are independent, so this is the
-  // disk path's parallel copy engine.
-  std::vector<Table*> tables;
-  tables.reserve(files.size());
-  for (const std::string& file : files) {
-    std::string table_name = file.substr(0, file.size() - 4);
-    SCUBA_ASSIGN_OR_RETURN(
-        Table * table,
-        leaf_map->CreateTable(table_name, options.table_limits));
-    tables.push_back(table);
-  }
-
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1 && files.size() > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  std::mutex stats_mutex;
-  SCUBA_RETURN_IF_ERROR(ParallelFor(
-      pool.get(), files.size(), [&](size_t i) -> Status {
-        Stats local;
-        Status s = RecoverTable(dir + "/" + files[i], tables[i], options, now,
-                                pool != nullptr ? &local : stats);
-        if (pool != nullptr) {
-          std::lock_guard<std::mutex> lock(stats_mutex);
-          stats->bytes_read += local.bytes_read;
-          stats->rows_recovered += local.rows_recovered;
-          stats->tables_recovered += local.tables_recovered;
-          stats->records_dropped += local.records_dropped;
-          stats->read_micros += local.read_micros;
-          stats->translate_micros += local.translate_micros;
-        }
-        return s;
-      }));
   return Status::OK();
 }
 

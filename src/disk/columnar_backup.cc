@@ -7,8 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include <mutex>
-
 #include "disk/backup_format.h"
 #include "obs/metrics.h"
 #include "util/bit_util.h"
@@ -16,7 +14,6 @@
 #include "util/clock.h"
 #include "util/crc32c.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/varint.h"
 
 namespace scuba {
@@ -24,6 +21,8 @@ namespace {
 
 constexpr uint32_t kTailMagic = 0x4C494154;  // "TAIL"
 constexpr uint16_t kTailVersion = 1;
+// magic, version, reserved, u64 block count K
+constexpr size_t kTailHeaderSize = 16;
 
 size_t AlignUp8(size_t v) { return static_cast<size_t>(bit_util::RoundUp(v, 8)); }
 
@@ -90,32 +89,53 @@ uint32_t PayloadCrc(Slice payload) {
   return crc32c::Mask(crc32c::Value(payload.data(), n));
 }
 
+// Reads the block record at the front of `input` — its envelope and the
+// payload's meta region — and advances past it. Corruption on a torn or
+// corrupt record.
+StatusOr<ColumnarBackupReader::BlockRef> ReadBlockRecord(Slice* input) {
+  if (input->size() < 8) {
+    return Status::Corruption("cols record: torn envelope");
+  }
+  const uint32_t payload_len = ByteBuffer::DecodeU32(input->data());
+  const uint32_t stored_crc = ByteBuffer::DecodeU32(input->data() + 4);
+  if (input->size() < 8 + static_cast<size_t>(payload_len)) {
+    return Status::Corruption("cols record: torn payload");
+  }
+  Slice payload(input->data() + 8, payload_len);
+  if (PayloadCrc(payload) != stored_crc) {
+    return Status::Corruption("cols record: meta checksum mismatch");
+  }
+  if (payload.size() < 4 ||
+      payload.size() - 4 < ByteBuffer::DecodeU32(payload.data())) {
+    return Status::Corruption("cols record: truncated meta");
+  }
+  Slice meta_slice = payload.Subslice(4, ByteBuffer::DecodeU32(payload.data()));
+  SCUBA_ASSIGN_OR_RETURN(RowBlock::Meta meta, RowBlock::ParseMeta(&meta_slice));
+  input->RemovePrefix(8 + payload_len);
+  return ColumnarBackupReader::BlockRef{std::move(meta), payload};
+}
+
 // Cumulative process-wide counters for the columnar backup path
-// (scuba.disk.columnar.*); read-side fields mirror
-// ColumnarBackupReader::Stats.
+// (scuba.disk.columnar.*): the writer's seals and the reader's file reads.
+// Blocks and tables restored are counted once, by the restore engine
+// (scuba.core.restore.*).
 struct ColumnarMetrics {
   obs::Counter* blocks_sealed;
   obs::Counter* bytes_written;
-  obs::Counter* tables_recovered;
   obs::Counter* bytes_read;
-  obs::Counter* blocks_recovered;
   obs::Counter* tail_rows;
   obs::Counter* records_dropped;
   obs::Histogram* read_micros;
-  obs::Histogram* translate_micros;
 
   static ColumnarMetrics& Get() {
     auto& reg = obs::MetricsRegistry::Global();
     static ColumnarMetrics m{
         reg.GetCounter("scuba.disk.columnar.blocks_sealed"),
         reg.GetCounter("scuba.disk.columnar.bytes_written"),
-        reg.GetCounter("scuba.disk.columnar.tables_recovered"),
         reg.GetCounter("scuba.disk.columnar.bytes_read"),
-        reg.GetCounter("scuba.disk.columnar.blocks_recovered"),
         reg.GetCounter("scuba.disk.columnar.tail_rows_recovered"),
         reg.GetCounter("scuba.disk.columnar.records_dropped"),
-        reg.GetHistogram("scuba.disk.columnar.read_micros"),
-        reg.GetHistogram("scuba.disk.columnar.translate_micros")};
+        reg.GetHistogram("scuba.disk.columnar.read_micros")};
     return m;
   }
 };
@@ -264,230 +284,89 @@ StatusOr<uint64_t> ColumnarBackupReader::CountBlocks(
   return count;
 }
 
-StatusOr<std::vector<ColumnarBackupReader::BlockRef>>
-ColumnarBackupReader::EnumerateBlocks(Slice contents) {
-  std::vector<BlockRef> refs;
-  Slice input = contents;
-  while (!input.empty()) {
-    if (input.size() < 8) break;  // torn envelope
-    uint32_t payload_len = ByteBuffer::DecodeU32(input.data());
-    uint32_t stored_crc = ByteBuffer::DecodeU32(input.data() + 4);
-    if (input.size() < 8 + static_cast<size_t>(payload_len)) break;
-    Slice payload(input.data() + 8, payload_len);
-    if (PayloadCrc(payload) != stored_crc) break;
-    // Parse the meta region only (header, schema, column sizes): cheap
-    // relative to the column memcpys ParseBlock does later.
-    Slice meta_input = payload;
-    if (meta_input.size() < 4) break;
-    uint32_t meta_len = ByteBuffer::DecodeU32(meta_input.data());
-    meta_input.RemovePrefix(4);
-    if (meta_input.size() < meta_len) break;
-    Slice meta_slice = meta_input.Subslice(0, meta_len);
-    auto meta = RowBlock::ParseMeta(&meta_slice);
-    if (!meta.ok()) break;
-    refs.push_back(BlockRef{std::move(meta).value(), payload});
-    input.RemovePrefix(8 + payload_len);
-  }
-  return refs;
-}
-
 StatusOr<std::unique_ptr<RowBlock>> ColumnarBackupReader::ParseBlock(
     Slice payload, bool verify_checksums) {
   return ParseBlockPayload(payload, verify_checksums);
 }
 
-Status ColumnarBackupReader::RecoverTable(const std::string& dir,
-                                          const std::string& table,
-                                          Table* out, const Options& options,
-                                          int64_t now, Stats* stats,
-                                          ThreadPool* pool) {
-  // Phase 1: raw read of the .cols file.
-  Stopwatch read_watch;
-  ByteBuffer contents;
-  SCUBA_RETURN_IF_ERROR(ReadFileFully(dir + "/" + table + ".cols", &contents,
-                                      options.throttle_bytes_per_sec));
-  int64_t cols_read_micros = read_watch.ElapsedMicros();
-  stats->read_micros += cols_read_micros;
-  stats->bytes_read += contents.size();
+StatusOr<ColumnarBackupReader::TableBackup> ColumnarBackupReader::ReadTable(
+    const std::string& dir, const std::string& table, size_t max_blocks,
+    uint64_t throttle_bytes_per_sec) {
   ColumnarMetrics& metrics = ColumnarMetrics::Get();
-  metrics.bytes_read->Add(contents.size());
+  TableBackup backup;
 
-  // Phase 2: adopt blocks (memcpy-class translation). The envelope walk
-  // (lengths + prefix CRCs) is cheap and stays serial; the per-record
-  // payload parse — the memcpys and column checksums that dominate — fans
-  // out over `pool` when one is supplied.
+  // The raw read of the .cols file: the cheap phase (§6).
+  Stopwatch read_watch;
+  SCUBA_RETURN_IF_ERROR(ReadFileFully(dir + "/" + table + ".cols",
+                                      &backup.contents,
+                                      throttle_bytes_per_sec));
+  DiskRestoreStats& stats = backup.stats;
+  stats.read_micros = read_watch.ElapsedMicros();
+  stats.bytes_read = backup.contents.size();
+
+  // Walk the block records, parsing each meta region (header, schema,
+  // column sizes) — cheap relative to the column memcpys ParseBlock does
+  // later. The first torn or corrupt record ends the clean prefix.
   Stopwatch translate_watch;
-  Slice input = contents.AsSlice();
-  bool envelope_torn = false;
-  std::vector<Slice> payloads;
+  Slice input = backup.contents.AsSlice();
   while (!input.empty()) {
-    if (input.size() < 8) {
-      envelope_torn = true;
+    StatusOr<BlockRef> block =
+        backup.blocks.size() < max_blocks
+            ? ReadBlockRecord(&input)
+            : Status::Corruption("cut where a block failed to load");
+    if (!block.ok()) {
+      SCUBA_WARN << "columnar backup " << table << ": stopping at block "
+                 << backup.blocks.size() << ": " << block.status().ToString();
+      ++stats.records_dropped;
       break;
     }
-    uint32_t payload_len = ByteBuffer::DecodeU32(input.data());
-    uint32_t stored_crc = ByteBuffer::DecodeU32(input.data() + 4);
-    if (input.size() < 8 + static_cast<size_t>(payload_len)) {
-      envelope_torn = true;  // torn tail record from a crash
-      break;
-    }
-    Slice payload(input.data() + 8, payload_len);
-    if (PayloadCrc(payload) != stored_crc) {
-      SCUBA_WARN << "columnar backup " << table
-                 << ": corrupt block record " << payloads.size()
-                 << "; stopping";
-      envelope_torn = true;
-      break;
-    }
-    payloads.push_back(payload);
-    input.RemovePrefix(8 + payload_len);
+    backup.blocks.push_back(std::move(block).value());
   }
 
-  std::vector<std::unique_ptr<RowBlock>> parsed(payloads.size());
-  std::vector<Status> parse_status(payloads.size());
-  Status parallel_status = ParallelFor(
-      pool, payloads.size(), [&](size_t i) -> Status {
-        auto block = ParseBlockPayload(payloads[i], options.verify_checksums);
-        if (block.ok()) {
-          parsed[i] = std::move(block).value();
-        } else {
-          parse_status[i] = block.status();
-        }
-        return Status::OK();  // parse failures handled via the prefix rule
-      });
-  SCUBA_RETURN_IF_ERROR(parallel_status);
-
-  // Adopt the contiguous prefix of cleanly parsed blocks, in order —
-  // identical to the serial stop-at-first-corrupt-record behavior.
-  uint64_t blocks = 0;
-  bool parse_failed = false;
-  for (size_t i = 0; i < parsed.size(); ++i) {
-    if (parsed[i] == nullptr) {
-      SCUBA_WARN << "columnar backup " << table << ": "
-                 << parse_status[i].ToString() << "; stopping";
-      parse_failed = true;
-      break;
-    }
-    out->AdoptRowBlock(std::move(parsed[i]));
-    ++blocks;
-  }
-  if (envelope_torn || parse_failed) {
-    ++stats->records_dropped;
-    metrics.records_dropped->Add(1);
-  }
-  stats->blocks_recovered += blocks;
-
-  // Phase 3: replay EXACTLY tail.<blocks>; other generations are stale.
-  int64_t tail_read_micros = 0;
-  std::string tail_path =
-      dir + "/" + table + ".tail." + std::to_string(blocks);
-  if (FileExists(tail_path)) {
+  // Replay EXACTLY tail.<blocks kept>; other generations are stale.
+  const std::string tail_name =
+      table + ".tail." + std::to_string(backup.blocks.size());
+  if (FileExists(dir + "/" + tail_name)) {
     Stopwatch tail_read;
     ByteBuffer tail;
     SCUBA_RETURN_IF_ERROR(
-        ReadFileFully(tail_path, &tail, options.throttle_bytes_per_sec));
-    tail_read_micros = tail_read.ElapsedMicros();
-    stats->read_micros += tail_read_micros;
-    stats->bytes_read += tail.size();
-    metrics.bytes_read->Add(tail.size());
+        ReadFileFully(dir + "/" + tail_name, &tail, throttle_bytes_per_sec));
+    const int64_t tail_read_micros = tail_read.ElapsedMicros();
+    stats.read_micros += tail_read_micros;
+    stats.bytes_read += tail.size();
 
     Slice tail_input = tail.AsSlice();
-    if (tail_input.size() >= 16 &&
+    if (tail_input.size() >= kTailHeaderSize &&
         ByteBuffer::DecodeU32(tail_input.data()) == kTailMagic) {
-      tail_input.RemovePrefix(16);
+      tail_input.RemovePrefix(kTailHeaderSize);
       for (;;) {
         std::vector<Row> rows;
         Status s = backup_format::ReadRowBatchRecord(&tail_input, &rows);
         if (s.IsNotFound()) break;
         if (s.IsCorruption()) {
-          ++stats->records_dropped;
-          metrics.records_dropped->Add(1);
+          ++stats.records_dropped;
           break;
         }
         SCUBA_RETURN_IF_ERROR(s);
-        SCUBA_RETURN_IF_ERROR(out->AddRows(rows, now));
-        stats->tail_rows_recovered += rows.size();
-        metrics.tail_rows->Add(rows.size());
+        for (Row& row : rows) backup.tail_rows.push_back(std::move(row));
       }
     }
+    stats.translate_micros -= tail_read_micros;
   }
-  // Count (and implicitly ignore) stale tails.
   SCUBA_ASSIGN_OR_RETURN(std::vector<std::string> all_files,
                          ListFiles(dir, ""));
-  std::string stale_prefix = table + ".tail.";
   for (const std::string& file : all_files) {
-    if (file.rfind(stale_prefix, 0) == 0 &&
-        file != table + ".tail." + std::to_string(blocks)) {
-      ++stats->stale_tails_ignored;
+    if (file.rfind(table + ".tail.", 0) == 0 && file != tail_name) {
+      ++stats.stale_tails_ignored;
     }
   }
+  stats.translate_micros += translate_watch.ElapsedMicros();
 
-  out->ExpireData(now);
-  int64_t translate_micros = translate_watch.ElapsedMicros() -
-                             tail_read_micros;
-  stats->translate_micros += translate_micros;
-  stats->rows_recovered += out->RowCount();
-  ++stats->tables_recovered;
-
-  metrics.tables_recovered->Add(1);
-  metrics.blocks_recovered->Add(blocks);
-  metrics.read_micros->Record(static_cast<uint64_t>(
-      std::max<int64_t>(0, cols_read_micros + tail_read_micros)));
-  metrics.translate_micros->Record(
-      static_cast<uint64_t>(std::max<int64_t>(0, translate_micros)));
-  return Status::OK();
-}
-
-Status ColumnarBackupReader::RecoverLeaf(const std::string& dir,
-                                         LeafMap* leaf_map,
-                                         const Options& options, int64_t now,
-                                         Stats* stats) {
-  SCUBA_ASSIGN_OR_RETURN(std::vector<std::string> tables, ListTables(dir));
-
-  // Create all tables serially (LeafMap is not thread-safe).
-  std::vector<Table*> out_tables;
-  out_tables.reserve(tables.size());
-  for (const std::string& name : tables) {
-    SCUBA_ASSIGN_OR_RETURN(Table * table,
-                           leaf_map->CreateTable(name, options.table_limits));
-    out_tables.push_back(table);
-  }
-
-  // A pool cannot be used from within its own tasks (Wait would deadlock
-  // on the caller's in-flight slot), so parallelism goes to whichever
-  // level has the work: across tables when there are several, inside the
-  // single table otherwise.
-  if (options.num_threads > 1 && tables.size() == 1) {
-    ThreadPool pool(options.num_threads);
-    return RecoverTable(dir, tables[0], out_tables[0], options, now, stats,
-                        &pool);
-  }
-
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1 && tables.size() > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  std::mutex stats_mutex;
-  SCUBA_RETURN_IF_ERROR(ParallelFor(
-      pool.get(), tables.size(), [&](size_t i) -> Status {
-        Stats local;
-        Status s = RecoverTable(dir, tables[i], out_tables[i], options, now,
-                                pool != nullptr ? &local : stats);
-        if (pool != nullptr) {
-          std::lock_guard<std::mutex> lock(stats_mutex);
-          stats->bytes_read += local.bytes_read;
-          stats->blocks_recovered += local.blocks_recovered;
-          stats->tail_rows_recovered += local.tail_rows_recovered;
-          stats->rows_recovered += local.rows_recovered;
-          stats->tables_recovered += local.tables_recovered;
-          stats->records_dropped += local.records_dropped;
-          stats->stale_tails_ignored += local.stale_tails_ignored;
-          stats->read_micros += local.read_micros;
-          stats->translate_micros += local.translate_micros;
-        }
-        return s;
-      }));
-  return Status::OK();
+  metrics.bytes_read->Add(stats.bytes_read);
+  metrics.tail_rows->Add(backup.tail_rows.size());
+  metrics.records_dropped->Add(stats.records_dropped);
+  metrics.read_micros->Record(static_cast<uint64_t>(stats.read_micros));
+  return backup;
 }
 
 }  // namespace scuba

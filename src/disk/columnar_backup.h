@@ -8,12 +8,12 @@
 
 #include "columnar/leaf_map.h"
 #include "columnar/row_block.h"
+#include "disk/backup_reader.h"
 #include "disk/file.h"
+#include "util/byte_buffer.h"
 #include "util/status.h"
 
 namespace scuba {
-
-class ThreadPool;
 
 /// The paper's §6 future work, implemented: "One large overhead in Scuba's
 /// disk recovery is translating from the disk format to the heap memory
@@ -90,45 +90,47 @@ class ColumnarBackupWriter {
   uint64_t total_bytes_written_ = 0;
 };
 
-/// Recovery from the columnar backup.
+/// Recovery-side access to the columnar backup. The restore engine
+/// (core/instant_restore) reads each table whole, then translates one
+/// block record per unit with ParseBlock.
 class ColumnarBackupReader {
  public:
-  struct Options {
-    uint64_t throttle_bytes_per_sec = 0;
-    /// Verify each adopted column's CRC32C (structural checks always run).
-    bool verify_checksums = false;
-    TableLimits table_limits;
-    /// Workers for the translate phase. RecoverLeaf fans out across tables
-    /// when there are several; with a single table the pool parallelizes
-    /// block parsing inside it instead. 1 keeps the serial loops.
-    size_t num_threads = 1;
+  /// One sealed block record inside a fully-read .cols buffer: its parsed
+  /// metadata (header time range, schema, column sizes) plus the payload
+  /// slice ParseBlock later translates.
+  struct BlockRef {
+    RowBlock::Meta meta;
+    Slice payload;
   };
 
-  struct Stats {
-    uint64_t bytes_read = 0;
-    uint64_t blocks_recovered = 0;
-    uint64_t tail_rows_recovered = 0;
-    uint64_t rows_recovered = 0;
-    uint64_t tables_recovered = 0;
-    uint64_t records_dropped = 0;   // torn .cols tail records
-    uint64_t stale_tails_ignored = 0;
-    int64_t read_micros = 0;        // raw file reads
-    int64_t translate_micros = 0;   // memcpy adoption + tail replay
+  /// One table's backup as ReadTable found it.
+  struct TableBackup {
+    ByteBuffer contents;          // the .cols file; every BlockRef aliases it
+    std::vector<BlockRef> blocks;  // the clean prefix of block records
+    std::vector<Row> tail_rows;    // rows of the matching tail.<blocks>
+    /// Translation here is the envelope walk and the tail decode; a torn
+    /// or corrupt record may end the .cols file and the tail (0-2 drops).
+    DiskRestoreStats stats;
   };
 
-  /// Recovers one table from its .cols + matching tail. With a non-null
-  /// `pool`, block payloads are parsed (memcpy + checksum) in parallel;
-  /// the stop-at-first-corrupt-record semantics are preserved by adopting
-  /// only the contiguous prefix of blocks that parsed cleanly, in order.
-  /// The pool must not be one this call is itself running on.
-  static Status RecoverTable(const std::string& dir, const std::string& table,
-                             Table* out, const Options& options, int64_t now,
-                             Stats* stats, ThreadPool* pool = nullptr);
+  /// Reads `<table>.cols` and keeps the contiguous prefix of valid block
+  /// records, stopping at the first torn or corrupt one and after at most
+  /// `max_blocks` — the cut a caller applies when a block's payload failed
+  /// to translate on an earlier attempt. Then replays EXACTLY
+  /// `tail.<blocks kept>` (the seal protocol's match rule); any other tail
+  /// generation is stale and ignored. >0 `throttle_bytes_per_sec` paces
+  /// the reads.
+  static StatusOr<TableBackup> ReadTable(const std::string& dir,
+                                         const std::string& table,
+                                         size_t max_blocks,
+                                         uint64_t throttle_bytes_per_sec);
 
-  /// Recovers every "<name>.cols" table under `dir` into `leaf_map`.
-  static Status RecoverLeaf(const std::string& dir, LeafMap* leaf_map,
-                            const Options& options, int64_t now,
-                            Stats* stats);
+  /// Translates one block record's payload into a heap row block — a
+  /// single memcpy per column, callable from any thread. With
+  /// `verify_checksums` each column's CRC32C is checked as well as its
+  /// structure.
+  static StatusOr<std::unique_ptr<RowBlock>> ParseBlock(
+      Slice payload, bool verify_checksums);
 
   /// Lists table names that have a .cols file in `dir`.
   static StatusOr<std::vector<std::string>> ListTables(const std::string& dir);
@@ -137,28 +139,6 @@ class ColumnarBackupReader {
   /// (used by the writer to resume K after a restart that recovered from
   /// shared memory and never read the disk files).
   static StatusOr<uint64_t> CountBlocks(const std::string& cols_path);
-
-  // --- instant-restore support ---------------------------------------------
-
-  /// One sealed block record inside a fully-read .cols buffer: its parsed
-  /// metadata (header time range, schema, column sizes) plus the payload
-  /// slice a later ParseBlock call translates on demand.
-  struct BlockRef {
-    RowBlock::Meta meta;
-    Slice payload;
-  };
-
-  /// Walks `contents` (a fully-read .cols file) collecting each valid
-  /// record's meta + payload slice, stopping at the first torn or corrupt
-  /// record — the same contiguous-clean-prefix rule as RecoverTable, so
-  /// the block set matches what a blocking recovery would adopt. The
-  /// slices alias `contents`, which must outlive them.
-  static StatusOr<std::vector<BlockRef>> EnumerateBlocks(Slice contents);
-
-  /// Translates one record payload (from EnumerateBlocks) into a heap row
-  /// block — a single memcpy per column, callable from any thread.
-  static StatusOr<std::unique_ptr<RowBlock>> ParseBlock(
-      Slice payload, bool verify_checksums);
 };
 
 }  // namespace scuba

@@ -387,8 +387,8 @@ class LazyColumns {
 // (filter-before-decode): predicates and the time-range select run on the
 // stored bytes, and the loader above materializes only surviving rows.
 // Get() returns nullptr when a column cannot execute packed — absent,
-// non-int64, a legacy chain, or a parse failure (the full-decode fallback
-// then also surfaces corruption errors exactly as before).
+// non-int64, an unexpected chain, or a parse failure (the full-decode
+// fallback then also surfaces corruption errors exactly as before).
 class PackedChunk {
  public:
   PackedChunk(const RowBlock& block, const TypeMap& types)

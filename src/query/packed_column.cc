@@ -96,7 +96,7 @@ std::unique_ptr<PackedInt64Column> PackedInt64Column::Open(
     return view;
   }
 
-  return nullptr;  // legacy bitpack / unexpected chain: full decode path
+  return nullptr;  // unexpected chain: full decode path
 }
 
 Status PackedInt64Column::EnsureDecoded(size_t mb_index) {

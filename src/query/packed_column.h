@@ -29,9 +29,9 @@ namespace scuba {
 ///
 /// Every operation is bit-identical to full decode + the scalar kernels —
 /// that contract is what lets the executor pick this path freely. Open()
-/// returns nullptr for any other chain (legacy bitpack blocks, other
-/// types); callers fall back to full decode, which also keeps error
-/// surfacing for corrupt blocks on the decode path.
+/// returns nullptr for any other chain or type; callers fall back to full
+/// decode, which also keeps error surfacing for corrupt blocks on the
+/// decode path.
 class PackedInt64Column {
  public:
   /// Borrows `column`'s buffer (the caller keeps it alive); owns only the

@@ -78,14 +78,10 @@ RestartConfig MakeRestartConfig(const LeafServerConfig& config,
   rc.backup_dir = config.backup_dir;
   rc.backup_format = config.backup_format;
   rc.memory_recovery_enabled = config.memory_recovery_enabled;
+  rc.num_copy_threads = config.num_copy_threads;
   rc.restore.verify_checksums = config.verify_checksums_on_restore;
   rc.restore.table_limits = config.default_table_limits;
-  rc.disk.throttle_bytes_per_sec = config.disk_throttle_bytes_per_sec;
-  rc.disk.table_limits = config.default_table_limits;
-  rc.columnar_disk.throttle_bytes_per_sec = config.disk_throttle_bytes_per_sec;
-  rc.columnar_disk.verify_checksums = config.verify_checksums_on_restore;
-  rc.columnar_disk.table_limits = config.default_table_limits;
-  rc.num_copy_threads = config.num_copy_threads;
+  rc.restore.disk_throttle_bytes_per_sec = config.disk_throttle_bytes_per_sec;
   rc.restore.max_in_flight_bytes = config.max_in_flight_copy_bytes;
   rc.shutdown.max_in_flight_bytes = config.max_in_flight_copy_bytes;
   return rc;
@@ -252,50 +248,12 @@ StatusOr<RecoveryResult> LeafServer::Start() {
 }
 
 Status LeafServer::StartInstantRestoreLocked(int64_t now) {
-  if (heartbeat_.has_value()) {
-    heartbeat_->SetPhase(RestartPhase::kOpenMetadata);
-  }
-  RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kOpenMetadata,
-               "instant restore");
-  // Source selection mirrors Fig 5b: shared memory first when enabled (a
-  // failed open scrubs and falls through), then the disk backup in
-  // whichever format this leaf writes.
-  std::unique_ptr<RestoreSource> source;
-  if (config_.memory_recovery_enabled) {
-    auto shm_or = OpenShmRestoreSource(config_.namespace_prefix,
-                                       config_.leaf_id,
-                                       config_.verify_checksums_on_restore);
-    if (shm_or.ok()) {
-      source = std::move(shm_or).value();
-    } else {
-      last_recovery_.shm_attempt_status = shm_or.status();
-      if (!shm_or.status().IsNotFound()) {
-        obs::IncrCounter("scuba.core.restart.shm_recovery_failures");
-        SCUBA_WARN << "leaf " << config_.leaf_id
-                   << ": memory recovery unavailable ("
-                   << shm_or.status().ToString() << "); trying disk";
-      }
-      restart_manager_.ScrubSharedMemory();
-    }
-  } else {
-    restart_manager_.ScrubSharedMemory();
-  }
-  if (source == nullptr) {
-    StatusOr<std::unique_ptr<RestoreSource>> disk_or =
-        UsesColumnarBackup()
-            ? OpenColsRestoreSource(config_.backup_dir,
-                                    restart_manager_.config().columnar_disk,
-                                    now)
-            : OpenBakRestoreSource(config_.backup_dir,
-                                   restart_manager_.config().disk, now);
-    if (!disk_or.ok()) return disk_or.status();
-    source = std::move(disk_or).value();
-  }
+  // The same source choice as a blocking recovery (Fig 5b): shared memory
+  // first when enabled (a failed open scrubs and falls through), then the
+  // disk backup in whichever format this leaf writes.
+  SCUBA_ASSIGN_OR_RETURN(std::unique_ptr<RestoreSource> source,
+                         restart_manager_.OpenSource(now, &last_recovery_));
 
-  // Create every table up front with its block slots reserved (null until
-  // their blocks land; every reader skips nulls) and its unsealed tail
-  // rows replayed — so from the very first query the table's SHAPE is
-  // final and only block payloads are missing.
   const RecoverySource source_kind = source->recovery_source();
   auto fail = [&](Status s) {
     leaf_map_.Clear();
@@ -303,18 +261,12 @@ Status LeafServer::StartInstantRestoreLocked(int64_t now) {
     source->Abandon();
     return s;
   };
-  for (const RestoreSource::TableInfo& info : source->tables()) {
-    auto table_or =
-        leaf_map_.CreateTable(info.name, config_.default_table_limits);
-    if (!table_or.ok()) return fail(table_or.status());
-    Table* table = table_or.value();
-    table->ReserveRestoreSlots(info.num_slots);
+  auto tables_or = CreateRestoreTables(
+      *source, config_.default_table_limits, now, &leaf_map_);
+  if (!tables_or.ok()) return fail(tables_or.status());
+  for (Table* table : tables_or.value()) {
     InstallSealObserver(table);
-    if (!info.tail_rows.empty()) {
-      Status s = table->AddRows(info.tail_rows, now);
-      if (!s.ok()) return fail(s);
-    }
-    TableStateMachine& ts = table_states_[info.name];
+    TableStateMachine& ts = table_states_[table->name()];
     Status s = ts.Transition(source_kind == RecoverySource::kSharedMemory
                                  ? TableState::kMemoryRecovery
                                  : TableState::kDiskRecovery);
@@ -332,39 +284,21 @@ Status LeafServer::StartInstantRestoreLocked(int64_t now) {
     Status s = TransitionLeaf(LeafState::kRestoring);
     if (!s.ok()) return fail(s);
   }
-
   last_recovery_.source = source_kind;
-  if (heartbeat_.has_value()) {
-    heartbeat_->SetBytesTotal(source->total_bytes());
-    heartbeat_->SetPhase(source_kind == RecoverySource::kSharedMemory
-                             ? RestartPhase::kCopyIn
-                             : RestartPhase::kDiskRecover);
-  }
-  RecordFlight(FlightRecorder::EventType::kPhase,
-               source_kind == RecoverySource::kSharedMemory
-                   ? RestartPhase::kCopyIn
-                   : RestartPhase::kDiskRecover,
-               RecoverySourceName(source_kind), source->total_bytes(),
-               source->units().size());
 
-  InstantRestoreEngine::Options eopts;
-  eopts.num_copy_threads = config_.num_copy_threads;
-  eopts.max_in_flight_bytes = config_.max_in_flight_copy_bytes;
-  eopts.heartbeat = heartbeat_.has_value() ? &*heartbeat_ : nullptr;
-  eopts.flight_recorder = recorder_.has_value() ? &*recorder_ : nullptr;
+  InstantRestoreEngine::Options eopts = restart_manager_.EngineOptions();
   eopts.unit_hook = instant_unit_hook_;
   engine_ = std::make_unique<InstantRestoreEngine>(
       std::move(source), std::move(eopts),
       [this](const RestoreUnit& unit, LoadedUnit loaded) {
-        return AdoptRestoredUnit(unit, std::move(loaded));
+        return AdoptUnit(unit, std::move(loaded));
       },
       [this](Status s) { OnInstantRestoreDone(std::move(s)); });
   engine_->Start();
   return Status::OK();
 }
 
-Status LeafServer::AdoptRestoredUnit(const RestoreUnit& unit,
-                                     LoadedUnit loaded) {
+Status LeafServer::AdoptUnit(const RestoreUnit& unit, LoadedUnit loaded) {
   std::lock_guard<std::mutex> lock(mutex_);
   const RestoreSource::TableInfo& info =
       engine_->source().tables()[unit.table_index];
@@ -373,39 +307,14 @@ Status LeafServer::AdoptRestoredUnit(const RestoreUnit& unit,
     return Status::Internal("restore target table '" + info.name +
                             "' disappeared");
   }
-  if (unit.whole_table) {
-    // Row-major source: the whole table translated at once — blocks in
-    // original order, then the unsealed tail, exactly like the blocking
-    // reader.
-    for (auto& block : loaded.blocks) {
-      if (block != nullptr) table->AdoptRowBlock(std::move(block));
-    }
-    if (!loaded.tail_rows.empty()) {
-      SCUBA_RETURN_IF_ERROR(
-          table->AddRows(loaded.tail_rows, clock()->NowUnixSeconds()));
-    }
-  } else {
-    table->AdoptRowBlockAt(unit.slot, std::move(loaded.block));
-  }
-  return Status::OK();
+  return AdoptRestoredUnit(table, unit, std::move(loaded),
+                           clock()->NowUnixSeconds());
 }
 
 void LeafServer::OnInstantRestoreDone(Status engine_status) {
   bool start_self_stats = false;
   if (engine_status.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    int64_t now = clock()->NowUnixSeconds();
-    last_recovery_.shm_stats = engine_->stats();
-    int64_t elapsed = engine_->stats().elapsed_micros.load();
-    if (last_recovery_.source == RecoverySource::kDisk) {
-      // GetStats and self-stats derive disk recovery duration from the
-      // reader stats; the instant engine measured it directly.
-      if (UsesColumnarBackup()) {
-        last_recovery_.columnar_stats.translate_micros = elapsed;
-      } else {
-        last_recovery_.disk_stats.translate_micros = elapsed;
-      }
-    }
     Status s = TransitionLeaf(LeafState::kAlive);
     for (auto& [name, ts] : table_states_) {
       if (s.ok() && ts.state() == TableState::kRestoring) {
@@ -416,24 +325,16 @@ void LeafServer::OnInstantRestoreDone(Status engine_status) {
       SCUBA_WARN << "leaf " << config_.leaf_id
                  << ": instant restore handoff failed: " << s.ToString();
     }
-    // Fig 5 caption: "any needed deletions are made after recovery" —
-    // expiry was deferred for the whole RESTORING window so adoption
-    // order never raced block dropping.
-    size_t dropped = 0;
-    for (const std::string& name : leaf_map_.TableNames()) {
-      dropped += leaf_map_.GetTable(name)->ExpireData(now);
-    }
-    if (dropped > 0) {
-      SCUBA_INFO << "leaf " << config_.leaf_id << ": post-restore expiry "
-                 << "dropped " << dropped << " blocks";
-    }
+    // Expiry was deferred for the whole RESTORING window so adoption
+    // order never raced block dropping; it runs here, with the stats and
+    // the report, exactly as after a blocking recovery.
+    restart_manager_.FinishRecovery(engine_.get(), &leaf_map_,
+                                    clock()->NowUnixSeconds(),
+                                    /*tracer=*/nullptr, &last_recovery_);
     if (heartbeat_.has_value()) heartbeat_->SetPhase(RestartPhase::kAlive);
     RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kAlive,
                  RecoverySourceName(last_recovery_.source),
                  leaf_map_.TotalRowCount());
-    restart_manager_.WriteInstantRecoveryReport(last_recovery_.source,
-                                                engine_->stats(),
-                                                /*trace_json=*/"");
     SCUBA_INFO << "leaf " << config_.leaf_id << " alive ("
                << RecoverySourceName(last_recovery_.source)
                << " instant restore, " << leaf_map_.TotalRowCount()
@@ -519,9 +420,7 @@ void LeafServer::StartSelfStats() {
       last_recovery_.source == RecoverySource::kSharedMemory
           ? last_recovery_.shm_stats.elapsed_micros.load()
           : last_recovery_.disk_stats.read_micros +
-                last_recovery_.disk_stats.translate_micros +
-                last_recovery_.columnar_stats.read_micros +
-                last_recovery_.columnar_stats.translate_micros;
+                last_recovery_.disk_stats.translate_micros;
   (void)exporter_->ExportRestartEvent(
       RestartPhaseName(RestartPhase::kAlive),
       RecoverySourceName(last_recovery_.source), recovery_micros);
@@ -558,8 +457,7 @@ void LeafServer::StartSelfStats() {
     uint64_t bytes =
         last_recovery_.source == RecoverySource::kSharedMemory
             ? last_recovery_.shm_stats.bytes_copied.load()
-            : last_recovery_.disk_stats.bytes_read +
-                  last_recovery_.columnar_stats.bytes_read;
+            : last_recovery_.disk_stats.bytes_read;
     Row row;
     row.Set("kind", std::string("restore"))
         .Set("path", std::string(RecoverySourceName(last_recovery_.source)))
@@ -567,11 +465,8 @@ void LeafServer::StartSelfStats() {
         .Set("phase", std::string(RestartPhaseName(RestartPhase::kAlive)))
         .Set("pred_generation",
              static_cast<int64_t>(last_autopsy_.pred_generation))
-        .Set("read_micros", last_recovery_.disk_stats.read_micros +
-                                last_recovery_.columnar_stats.read_micros)
-        .Set("translate_micros",
-             last_recovery_.disk_stats.translate_micros +
-                 last_recovery_.columnar_stats.translate_micros)
+        .Set("read_micros", last_recovery_.disk_stats.read_micros)
+        .Set("translate_micros", last_recovery_.disk_stats.translate_micros)
         .Set("total_micros", recovery_micros)
         .Set("bytes", static_cast<int64_t>(bytes))
         .Set("blocks_on_demand",
@@ -961,12 +856,12 @@ void LeafServer::Crash() {
   // crashes leave the ring mid-sentence, a simulated one says so.
   RecordFlight(FlightRecorder::EventType::kError, RestartPhase::kIdle,
                "simulated crash");
-  if (leaf_state_.state() == LeafState::kRestoring) {
-    // Unblock any query parked on the restore: the engine is gone and no
-    // fallback will run, so RESTORING would otherwise never end.
-    (void)TransitionLeaf(LeafState::kDiskRecovery);
-    restore_cv_.notify_all();
-  }
+  // A dead process answers nothing: from here every add and query gets
+  // Unavailable, so aggregators report the leaf missing instead of
+  // counting its empty map as a complete answer. Queries parked on the
+  // restore wake up and see the same.
+  leaf_state_.ForceExit();
+  restore_cv_.notify_all();
   leaf_map_.Clear();
   table_states_.clear();
   // No valid bit is ever set on this path; the next process will find
@@ -985,9 +880,7 @@ LeafServer::Stats LeafServer::GetStats() const {
       last_recovery_.source == RecoverySource::kSharedMemory
           ? last_recovery_.shm_stats.elapsed_micros.load()
           : last_recovery_.disk_stats.read_micros +
-                last_recovery_.disk_stats.translate_micros +
-                last_recovery_.columnar_stats.read_micros +
-                last_recovery_.columnar_stats.translate_micros;
+                last_recovery_.disk_stats.translate_micros;
   stats.total_rows = leaf_map_.TotalRowCount();
   stats.memory_used_bytes = leaf_map_.TotalMemoryBytes();
   stats.memory_capacity_bytes = config_.memory_capacity_bytes;

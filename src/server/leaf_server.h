@@ -18,6 +18,7 @@
 #include "core/restart_manager.h"
 #include "core/state_machine.h"
 #include "disk/backup_writer.h"
+#include "disk/columnar_backup.h"
 #include "obs/stats_exporter.h"
 #include "query/executor.h"
 #include "shm/restart_heartbeat.h"
@@ -56,13 +57,14 @@ struct LeafServerConfig {
   TableLimits default_table_limits;
   /// >0 paces disk-recovery reads to model a slow disk.
   uint64_t disk_throttle_bytes_per_sec = 0;
-  /// Verify RBC checksums during memory recovery.
+  /// Verify RBC checksums while restoring from shm or a .cols backup.
   bool verify_checksums_on_restore = true;
-  /// Copy/translate workers for shutdown-to-shm, restore-from-shm, and
-  /// disk recovery (the parallel copy engine). 1 keeps the paper's serial
-  /// loops; ingest/query serving is unaffected either way.
+  /// Copy/translate workers for shutdown-to-shm and for the restore
+  /// engine, whatever its source. 1 keeps the paper's serial loops (a
+  /// blocking restore then runs on Start()'s own thread); ingest/query
+  /// serving is unaffected either way.
   size_t num_copy_threads = 1;
-  /// Cap on in-flight bytes for the parallel copy paths (§4.4's footprint
+  /// Cap on in-flight bytes for the copy paths (§4.4's footprint
   /// invariant, widened from one row-block-column to this budget). 0 =
   /// auto: num_copy_threads x the largest copy unit.
   uint64_t max_in_flight_copy_bytes = 0;
@@ -182,8 +184,10 @@ class LeafServer {
                                 FootprintTracker* tracker = nullptr);
 
   /// Simulates an unclean death: drops in-memory state WITHOUT copying to
-  /// shm or setting the valid bit. Whatever shm segments exist keep their
-  /// valid bits as-is (false unless a previous clean shutdown completed).
+  /// shm or setting the valid bit, and leaves the leaf in EXIT, so every
+  /// later add or query gets Unavailable. Whatever shm segments exist keep
+  /// their valid bits as-is (false unless a previous clean shutdown
+  /// completed).
   void Crash();
 
   /// Failure injection: the next ShutdownToSharedMemory performs PREPARE
@@ -368,18 +372,17 @@ class LeafServer {
   /// mutex_): one restart-history row, an immediate export of the recovery
   /// metrics, then the periodic thread.
   void StartSelfStats();
-  /// Instant-restore startup (caller holds mutex_): opens a RestoreSource
-  /// (shm first when memory recovery is enabled, then the disk backup),
-  /// creates the tables with reserved block slots, moves leaf + tables to
-  /// RESTORING, and starts the engine. NotFound when there is nothing an
-  /// incremental source can restore — the caller runs the blocking path.
+  /// Instant-restore startup (caller holds mutex_): opens the source the
+  /// restart manager picks, creates the tables with reserved block slots,
+  /// moves leaf + tables to RESTORING, and starts the engine. NotFound
+  /// when there is nothing to restore — the caller runs the blocking path.
   Status StartInstantRestoreLocked(int64_t now);
   /// Engine adopt callback (copy worker thread): installs a restored unit
   /// into its table under mutex_.
-  Status AdoptRestoredUnit(const RestoreUnit& unit, LoadedUnit loaded);
+  Status AdoptUnit(const RestoreUnit& unit, LoadedUnit loaded);
   /// Engine done callback (last copy worker): on success finishes the
   /// RESTORING -> ALIVE handoff (deferred expiry, report, heartbeat); on
-  /// cancel/error clears state and runs the blocking disk fallback.
+  /// cancel/error clears state and runs the blocking recovery.
   void OnInstantRestoreDone(Status engine_status);
 
   LeafServerConfig config_;

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/restore.h"
+#include "core/restart_manager.h"
 #include "core/shutdown.h"
 #include "query/executor.h"
 #include "test_util.h"
@@ -94,7 +94,7 @@ TEST(SchemaEvolutionTest, MixedSchemasSurviveShmHandoff) {
   ASSERT_TRUE(ShutdownToShm(&leaf_map, soptions, &sstats).ok());
 
   LeafMap restored;
-  RestoreOptions roptions;
+  RestartConfig roptions;
   roptions.namespace_prefix = ns.prefix();
   RestoreStats rstats;
   ASSERT_TRUE(RestoreFromShm(&restored, roptions, &rstats).ok());

@@ -92,22 +92,6 @@ TEST(ColumnCodecTest, TimestampsUseDeltaChain) {
   EXPECT_EQ(RoundTripInt(values), values);
 }
 
-TEST(ColumnCodecTest, LegacyDeltaBitPackChainStillDecodes) {
-  // Row blocks written before the mini-block format live on in shm images
-  // and disk backups; the decoder must keep accepting the old chain.
-  std::vector<int64_t> values;
-  for (int i = 0; i < 10000; ++i) values.push_back(1400000000 + i / 2);
-  EncodedColumn enc = column_codec::EncodeInt64Legacy(values);
-  auto stages = ChainStages(enc.chain);
-  ASSERT_GE(stages.size(), 3u);
-  EXPECT_EQ(stages[2], Stage::kBitPack);
-  std::vector<int64_t> out;
-  Status s = DecodeInt64(enc.chain, enc.dict.AsSlice(), enc.data.AsSlice(),
-                         values.size(), &out);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(out, values);
-}
-
 TEST(ColumnCodecTest, EveryColumnGetsAtLeastTwoMethods) {
   // The paper: "at least two methods applied to each column" (§2.1).
   std::vector<int64_t> timestamps;

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/footprint.h"
-#include "core/restore.h"
+#include "core/restart_manager.h"
 #include "core/shutdown.h"
 #include "shm/leaf_metadata.h"
 #include "test_util.h"
@@ -114,18 +114,18 @@ TEST(ParallelCopyTest, ParallelRoundTripMatchesSerialByteForByte) {
   EXPECT_EQ(leaf_parallel.num_tables(), 0u);  // heap emptied either way
 
   // Restore with checksums ON so every copied column is verified.
-  RestoreOptions ro_serial;
+  RestartConfig ro_serial;
   ro_serial.namespace_prefix = ns_serial.prefix();
   ro_serial.num_copy_threads = 1;
-  ro_serial.verify_checksums = true;
+  ro_serial.restore.verify_checksums = true;
   RestoreStats rs_serial;
   LeafMap restored_serial;
   ASSERT_TRUE(RestoreFromShm(&restored_serial, ro_serial, &rs_serial).ok());
 
-  RestoreOptions ro_parallel;
+  RestartConfig ro_parallel;
   ro_parallel.namespace_prefix = ns_parallel.prefix();
   ro_parallel.num_copy_threads = 4;
-  ro_parallel.verify_checksums = true;
+  ro_parallel.restore.verify_checksums = true;
   RestoreStats rs_parallel;
   LeafMap restored_parallel;
   ASSERT_TRUE(
@@ -162,10 +162,10 @@ TEST(ParallelCopyTest, ParallelShutdownSurvivesSegmentGrowth) {
   ASSERT_TRUE(ShutdownToShm(&leaf_map, soptions, &sstats).ok());
   EXPECT_GT(sstats.segment_grow_count.load(), 0u);
 
-  RestoreOptions roptions;
+  RestartConfig roptions;
   roptions.namespace_prefix = ns.prefix();
   roptions.num_copy_threads = 4;
-  roptions.verify_checksums = true;
+  roptions.restore.verify_checksums = true;
   RestoreStats rstats;
   LeafMap restored;
   ASSERT_TRUE(RestoreFromShm(&restored, roptions, &rstats).ok());
@@ -197,16 +197,16 @@ TEST(ParallelCopyTest, FootprintStaysWithinBudgetBound) {
 
   // Restore: the budget bounds heap bytes whose shm pages have not been
   // truncated yet, so peak <= initial shm size + budget (+ slack).
-  RestoreOptions roptions;
+  RestartConfig roptions;
   roptions.namespace_prefix = ns.prefix();
   roptions.num_copy_threads = 4;
-  roptions.max_in_flight_bytes = 2 * shape.max_block_bytes;
+  roptions.restore.max_in_flight_bytes = 2 * shape.max_block_bytes;
   FootprintTracker rtracker;
   RestoreStats rstats;
   LeafMap restored;
   ASSERT_TRUE(RestoreFromShm(&restored, roptions, &rstats, &rtracker).ok());
   EXPECT_LE(rtracker.peak(),
-            shm_bytes + roptions.max_in_flight_bytes + kSlack);
+            shm_bytes + roptions.restore.max_in_flight_bytes + kSlack);
   EXPECT_EQ(rstats.bytes_copied, sstats.bytes_copied);
 }
 
@@ -232,10 +232,10 @@ TEST(ParallelCopyTest, CorruptColumnMidParallelRestoreFallsBack) {
     raw->data()[raw->size() / 2] ^= 0x40;
   }
 
-  RestoreOptions roptions;
+  RestartConfig roptions;
   roptions.namespace_prefix = ns.prefix();
   roptions.num_copy_threads = 4;
-  roptions.verify_checksums = true;
+  roptions.restore.verify_checksums = true;
   RestoreStats rstats;
   LeafMap restored;
   Status s = RestoreFromShm(&restored, roptions, &rstats);

@@ -77,10 +77,10 @@ bool TracedRoundTripCovers(ShmNamespace* ns, size_t num_copy_threads,
 
   // Restore with a tracer: Fig 7 phases.
   obs::PhaseTracer restore_tracer;
-  RestoreOptions roptions;
+  RestartConfig roptions;
   roptions.namespace_prefix = ns->prefix();
   roptions.num_copy_threads = num_copy_threads;
-  roptions.tracer = &restore_tracer;
+  roptions.restore.tracer = &restore_tracer;
   RestoreStats rstats;
   LeafMap restored;
   EXPECT_TRUE(RestoreFromShm(&restored, roptions, &rstats).ok());

@@ -3,12 +3,16 @@
 //   (a) shutdown-to-shm -> restore-from-shm            (planned upgrade)
 //   (b) crash -> row-major disk recovery               (paper's format)
 //   (c) crash -> columnar disk recovery                (§6's format)
-// Aggregations accumulate in row order, which all three paths preserve,
-// so even floating-point sums must match bit for bit.
+// — each both blocking and instant (queries served while the restore
+// engine drains, and again once the leaf is ALIVE). Aggregations
+// accumulate in row order, which every path preserves, so even
+// floating-point sums must match bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "ingest/row_generator.h"
 #include "query/executor.h"
@@ -88,6 +92,7 @@ struct Scenario {
   BackupFormatKind format;
   bool crash;  // false = clean shm handoff
   RecoverySource expected_source;
+  bool instant;
 };
 
 class RoundTripPropertyTest
@@ -95,11 +100,17 @@ class RoundTripPropertyTest
 
 const Scenario kScenarios[] = {
     {"shm", BackupFormatKind::kRowMajor, false,
-     RecoverySource::kSharedMemory},
+     RecoverySource::kSharedMemory, false},
     {"rowmajor_disk", BackupFormatKind::kRowMajor, true,
-     RecoverySource::kDisk},
+     RecoverySource::kDisk, false},
     {"columnar_disk", BackupFormatKind::kColumnar, true,
-     RecoverySource::kDisk},
+     RecoverySource::kDisk, false},
+    {"shm_instant", BackupFormatKind::kRowMajor, false,
+     RecoverySource::kSharedMemory, true},
+    {"rowmajor_disk_instant", BackupFormatKind::kRowMajor, true,
+     RecoverySource::kDisk, true},
+    {"columnar_disk_instant", BackupFormatKind::kColumnar, true,
+     RecoverySource::kDisk, true},
 };
 
 TEST_P(RoundTripPropertyTest, QueriesIdenticalAcrossRecovery) {
@@ -142,18 +153,26 @@ TEST_P(RoundTripPropertyTest, QueriesIdenticalAcrossRecovery) {
     }
   }
 
+  config.instant_restore_enabled = scenario.instant;
   LeafServer recovered(config);
   auto started = recovered.Start();
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   ASSERT_EQ(started->source, scenario.expected_source) << scenario.name;
 
   ExpectIdentical(before, Snapshot(&recovered));
+  if (scenario.instant) {
+    for (int i = 0; i < 5000 && recovered.state() != LeafState::kAlive; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(recovered.state(), LeafState::kAlive);
+    ExpectIdentical(before, Snapshot(&recovered));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndScenarios, RoundTripPropertyTest,
     ::testing::Combine(::testing::Values(1u, 17u, 99u),
-                       ::testing::Values(0, 1, 2)),
+                       ::testing::Values(0, 1, 2, 3, 4, 5)),
     [](const ::testing::TestParamInfo<std::tuple<uint64_t, int>>& info) {
       return std::string(kScenarios[std::get<1>(info.param)].name) + "_seed" +
              std::to_string(std::get<0>(info.param));

@@ -3,7 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "core/restore.h"
+#include "core/restart_manager.h"
 #include "core/shutdown.h"
 #include "shm/leaf_metadata.h"
 #include "test_util.h"
@@ -32,12 +32,12 @@ ShutdownOptions MakeShutdownOptions(const ShmNamespace& ns,
   return options;
 }
 
-RestoreOptions MakeRestoreOptions(const ShmNamespace& ns,
-                                  uint32_t leaf_id = 0) {
-  RestoreOptions options;
-  options.namespace_prefix = ns.prefix();
-  options.leaf_id = leaf_id;
-  return options;
+RestartConfig MakeRestoreOptions(const ShmNamespace& ns,
+                                 uint32_t leaf_id = 0) {
+  RestartConfig config;
+  config.namespace_prefix = ns.prefix();
+  config.leaf_id = leaf_id;
+  return config;
 }
 
 TEST(ShutdownRestoreTest, FullCycleRoundTrips) {
@@ -329,11 +329,9 @@ TEST(ShutdownRestoreTest, SurvivesProcessBoundary) {
 
   // Parent: the child is gone; its memory lives on.
   LeafMap restored;
-  RestoreOptions options;
-  options.namespace_prefix = ns.prefix();
-  options.leaf_id = 9;
   RestoreStats rstats;
-  ASSERT_TRUE(RestoreFromShm(&restored, options, &rstats).ok());
+  ASSERT_TRUE(
+      RestoreFromShm(&restored, MakeRestoreOptions(ns, 9), &rstats).ok());
   ASSERT_NE(restored.GetTable("events"), nullptr);
   EXPECT_EQ(restored.GetTable("events")->RowCount(), 1234u);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/restart_manager.h"
 #include "disk/backup_reader.h"
 #include "disk/backup_writer.h"
 #include "disk/file.h"
@@ -10,7 +11,25 @@ namespace scuba {
 namespace {
 
 using testing_util::MakeRows;
+using testing_util::ShmNamespace;
 using testing_util::TempDir;
+
+// Blocking disk recovery of every .bak file in `dir` — the path a leaf
+// takes after a crash.
+RecoveryResult RecoverBackups(const TempDir& dir, LeafMap* leaf_map,
+                              int64_t now, TableLimits limits = {}) {
+  ShmNamespace ns("bw_recover");
+  RestartConfig config;
+  config.namespace_prefix = ns.prefix();
+  config.backup_dir = dir.path();
+  config.dump_restart_report = false;
+  config.restore.table_limits = limits;
+  auto result = RestartManager(config).Recover(leaf_map, now);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return RecoveryResult();
+  EXPECT_EQ(result->source, RecoverySource::kDisk);
+  return std::move(result).value();
+}
 
 TEST(BackupWriterTest, WritesAndTracksDirtyTables) {
   TempDir dir("bw1");
@@ -41,16 +60,13 @@ TEST(BackupRoundTripTest, RecoverLeafRebuildsTables) {
   }
 
   LeafMap leaf_map;
-  BackupReader::Options options;
-  BackupReader::Stats stats;
-  ASSERT_TRUE(
-      BackupReader::RecoverLeaf(dir.path(), &leaf_map, options, 5000, &stats)
-          .ok());
+  RecoveryResult result = RecoverBackups(dir, &leaf_map, 5000);
 
-  EXPECT_EQ(stats.tables_recovered, 2u);
-  EXPECT_EQ(stats.rows_recovered, 1042u);
-  EXPECT_GT(stats.bytes_read, 0u);
-  EXPECT_EQ(stats.records_dropped, 0u);
+  EXPECT_EQ(result.shm_stats.tables_restored, 2u);
+  EXPECT_EQ(result.disk_stats.bytes_read,
+            FileSize(dir.path() + "/events.bak") +
+                FileSize(dir.path() + "/errors.bak"));
+  EXPECT_EQ(result.disk_stats.records_dropped, 0u);
   EXPECT_EQ(leaf_map.TotalRowCount(), 1042u);
   ASSERT_NE(leaf_map.GetTable("events"), nullptr);
   EXPECT_EQ(leaf_map.GetTable("events")->RowCount(), 1000u);
@@ -75,10 +91,10 @@ TEST(BackupRoundTripTest, TornTailKeepsPrefix) {
   ASSERT_EQ(truncate(path.c_str(), static_cast<off_t>(size - 10)), 0);
 
   Table table("events");
-  BackupReader::Options options;
-  BackupReader::Stats stats;
-  ASSERT_TRUE(
-      BackupReader::RecoverTable(path, &table, options, 5000, &stats).ok());
+  DiskRestoreStats stats;
+  ASSERT_TRUE(BackupReader::RecoverTable(path, &table, /*throttle=*/0, 5000,
+                                         &stats)
+                  .ok());
   EXPECT_EQ(table.RowCount(), 100u);  // first batch survives
   EXPECT_EQ(stats.records_dropped, 1u);
 }
@@ -95,14 +111,11 @@ TEST(BackupRoundTripTest, StatsSplitReadAndTranslate) {
     ASSERT_TRUE(writer.SyncAll().ok());
   }
   LeafMap leaf_map;
-  BackupReader::Options options;
-  BackupReader::Stats stats;
-  ASSERT_TRUE(
-      BackupReader::RecoverLeaf(dir.path(), &leaf_map, options, 5000, &stats)
-          .ok());
+  RecoveryResult result = RecoverBackups(dir, &leaf_map, 5000);
   // Translation (decode + rebuild + recompress) dominates the raw read —
   // the paper's key disk-recovery property (§1).
-  EXPECT_GT(stats.translate_micros, stats.read_micros);
+  EXPECT_GT(result.disk_stats.translate_micros,
+            result.disk_stats.read_micros);
 }
 
 TEST(BackupRoundTripTest, ThrottleSlowsRead) {
@@ -117,11 +130,9 @@ TEST(BackupRoundTripTest, ThrottleSlowsRead) {
 
   auto run = [&](uint64_t throttle) {
     Table table("events");
-    BackupReader::Options options;
-    options.throttle_bytes_per_sec = throttle;
-    BackupReader::Stats stats;
+    DiskRestoreStats stats;
     EXPECT_TRUE(BackupReader::RecoverTable(dir.path() + "/events.bak", &table,
-                                           options, 5000, &stats)
+                                           throttle, 5000, &stats)
                     .ok());
     return stats.read_micros;
   };
@@ -141,12 +152,9 @@ TEST(BackupRoundTripTest, RecoveryAppliesRetentionLimits) {
     ASSERT_TRUE(writer.SyncAll().ok());
   }
   LeafMap leaf_map;
-  BackupReader::Options options;
-  options.table_limits.max_age_seconds = 10;  // rows at t~1000, now=99999
-  BackupReader::Stats stats;
-  ASSERT_TRUE(
-      BackupReader::RecoverLeaf(dir.path(), &leaf_map, options, 99999, &stats)
-          .ok());
+  TableLimits limits;
+  limits.max_age_seconds = 10;  // rows at t~1000, now=99999
+  RecoverBackups(dir, &leaf_map, 99999, limits);
   EXPECT_EQ(leaf_map.GetTable("events")->RowCount(), 0u);
 }
 

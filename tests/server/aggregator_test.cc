@@ -59,6 +59,30 @@ TEST_F(AggregatorTest, MergesAcrossLeaves) {
   EXPECT_EQ(rows[0].aggregates[0], 1000.0);
 }
 
+TEST_F(AggregatorTest, CrashedLeafYieldsPartialNotShortCount) {
+  StartLeaves(2);
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(
+        leaves_[i]->AddRows("events", MakeRows(250, 1000 + i)).ok());
+  }
+  // A crashed leaf answers nothing: its empty map must never be merged as
+  // a complete (and short) answer, and it takes no more ingest.
+  leaves_[1]->Crash();
+  EXPECT_TRUE(leaves_[1]->ExecuteQuery(CountQuery("events"))
+                  .status()
+                  .IsUnavailable());
+  EXPECT_TRUE(
+      leaves_[1]->AddRows("events", MakeRows(10, 2000)).IsUnavailable());
+
+  auto result = aggregator_.Execute(CountQuery("events"));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->leaves_total, 2u);
+  EXPECT_EQ(result->leaves_responded, 1u);
+  EXPECT_TRUE(result->IsPartial());
+  auto rows = result->Finalize({Count()});
+  EXPECT_EQ(rows[0].aggregates[0], 250.0);  // leaf 0's rows only
+}
+
 TEST_F(AggregatorTest, PartialResultsWhenLeafRestarting) {
   StartLeaves(4);
   for (size_t i = 0; i < 4; ++i) {

@@ -23,6 +23,14 @@ LeafServerConfig MakeConfig(const ShmNamespace& ns, const TempDir& dir) {
   return config;
 }
 
+// Rows in "events"' write buffer: after a disk recovery, the tail replayed.
+uint64_t BufferedRows(const LeafServer& leaf) {
+  for (const LeafServer::TableStats& table : leaf.GetStats().tables) {
+    if (table.name == "events") return table.buffered_rows;
+  }
+  return 0;
+}
+
 TEST(ColumnarLeafTest, CrashRecoversFromColumnarBackup) {
   ShmNamespace ns("cl1");
   TempDir dir("cl1");
@@ -43,9 +51,8 @@ TEST(ColumnarLeafTest, CrashRecoversFromColumnarBackup) {
   auto started = fresh.Start();
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   EXPECT_EQ(started->source, RecoverySource::kDisk);
-  EXPECT_EQ(started->columnar_stats.blocks_recovered, 1u);
-  EXPECT_EQ(started->columnar_stats.tail_rows_recovered,
-            9u * 8192 - 65536);
+  EXPECT_EQ(started->shm_stats.row_blocks_restored, 1u);
+  EXPECT_EQ(BufferedRows(fresh), 9u * 8192 - 65536);  // the tail replayed
   EXPECT_EQ(fresh.RowCount(), 9u * 8192);
 }
 
@@ -97,7 +104,7 @@ TEST(ColumnarLeafTest, SealObserverSurvivesShmRestart) {
   auto started = fresh.Start();
   ASSERT_TRUE(started.ok());
   EXPECT_EQ(started->source, RecoverySource::kDisk);
-  EXPECT_EQ(started->columnar_stats.blocks_recovered, 2u);
+  EXPECT_EQ(started->shm_stats.row_blocks_restored, 2u);
   EXPECT_EQ(fresh.RowCount(), 16u * 8192);
 }
 
@@ -122,8 +129,8 @@ TEST(ColumnarLeafTest, CleanShutdownFlushesTailViaSeal) {
   EXPECT_EQ(started->source, RecoverySource::kDisk);
   EXPECT_EQ(fresh.RowCount(), 777u);
   // The 777 rows were sealed at shutdown, so they come from a block.
-  EXPECT_EQ(started->columnar_stats.blocks_recovered, 1u);
-  EXPECT_EQ(started->columnar_stats.tail_rows_recovered, 0u);
+  EXPECT_EQ(started->shm_stats.row_blocks_restored, 1u);
+  EXPECT_EQ(BufferedRows(fresh), 0u);
 }
 
 TEST(ColumnarLeafTest, BothFormatsRecoverSameData) {
