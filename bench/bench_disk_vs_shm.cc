@@ -48,7 +48,6 @@ StatusOr<PathTimes> Measure(BenchEnv* env, uint64_t target_disk_bytes,
   config.namespace_prefix = env->prefix();
   config.leaf_id = static_cast<uint32_t>(tag);
   config.backup_dir = backup_dir;
-  config.restore.verify_checksums = false;
   config.restore.disk_throttle_bytes_per_sec = kDiskBytesPerSec;
 
   // Ingest through the backup writer so the disk file is the real format.

@@ -50,7 +50,6 @@ int Run() {
       RestartConfig rconfig;
       rconfig.namespace_prefix = env.prefix();
       rconfig.leaf_id = leaf_id;
-      rconfig.restore.verify_checksums = false;
       FootprintTracker restore_tracker;
       RestoreStats rstats;
       LeafMap restored;

@@ -15,6 +15,7 @@
 #include "obs/trace.h"
 #include "server/leaf_server.h"
 #include "shm/shm_segment.h"
+#include "util/crc32c.h"
 
 namespace scuba {
 namespace {
@@ -31,43 +32,74 @@ int Run(const std::string& json_path, bool smoke) {
 
   std::printf("E3: shutdown/restore via shared memory (paper §4.3: copy out "
               "in 3-4 s for 10-15 GB)\n\n");
-  std::printf("%10s %14s %14s %14s %14s\n", "leaf_MiB", "shutdown_ms",
-              "out_GiB/s", "restore_ms", "back_GiB/s");
+  std::printf("%10s %14s %14s %14s %14s %14s %10s\n", "leaf_MiB",
+              "shutdown_ms", "out_GiB/s", "restore_ms", "back_GiB/s",
+              "unverif_ms", "verify_x");
 
   std::vector<uint64_t> targets = {16ull << 20, 64ull << 20, 256ull << 20};
   if (smoke) targets = {4ull << 20};
 
   double last_out_rate = 0;
   double last_back_rate = 0;
+  double last_unverified_rate = 0;
   std::string shutdown_trace_json;
   std::string restore_trace_json;
-  for (uint64_t target : targets) {
-    LeafMap leaf_map;
-    uint64_t bytes = FillLeafToBytes(&leaf_map, target);
-
+  // One shutdown of `leaf_map` to shm and restore into `restored`. The
+  // restore checks every column's CRC32C when `verify`, as LeafServer does
+  // by default; the verified round trip's timelines go into the artifact.
+  auto round_trip = [&](LeafMap* leaf_map, bool verify, LeafMap* restored,
+                        ShutdownStats* sstats, RestoreStats* rstats) {
     obs::PhaseTracer shutdown_tracer;
     ShutdownOptions soptions;
     soptions.namespace_prefix = env.prefix();
     soptions.tracer = &shutdown_tracer;
-    ShutdownStats sstats;
-    if (!ShutdownToShm(&leaf_map, soptions, &sstats).ok()) return 1;
-    shutdown_trace_json = shutdown_tracer.ToJson();
+    if (!ShutdownToShm(leaf_map, soptions, sstats).ok()) return false;
 
     obs::PhaseTracer restore_tracer;
     RestartConfig rconfig;
     rconfig.namespace_prefix = env.prefix();
-    rconfig.restore.verify_checksums = false;  // paper does not checksum
+    rconfig.restore.verify_checksums = verify;
     rconfig.restore.tracer = &restore_tracer;
+    if (!RestoreFromShm(restored, rconfig, rstats).ok()) return false;
+    if (verify) {
+      shutdown_trace_json = shutdown_tracer.ToJson();
+      restore_trace_json = restore_tracer.ToJson();
+    }
+    return true;
+  };
+  for (uint64_t target : targets) {
+    LeafMap leaf_map;
+    uint64_t bytes = FillLeafToBytes(&leaf_map, target);
+
+    // The server's configuration first, then the same data again with the
+    // checksum off: the gap between the two restores is what verification
+    // costs.
+    ShutdownStats sstats;
     RestoreStats rstats;
     LeafMap restored;
-    if (!RestoreFromShm(&restored, rconfig, &rstats).ok()) return 1;
-    restore_trace_json = restore_tracer.ToJson();
+    ShutdownStats unverified_sstats;
+    RestoreStats unverified_rstats;
+    LeafMap unverified_restored;
+    if (!round_trip(&leaf_map, true, &restored, &sstats, &rstats) ||
+        !round_trip(&restored, false, &unverified_restored,
+                    &unverified_sstats, &unverified_rstats)) {
+      return 1;
+    }
 
     last_out_rate = Rate(sstats.bytes_copied, sstats.elapsed_micros);
     last_back_rate = Rate(rstats.bytes_copied, rstats.elapsed_micros);
-    std::printf("%10.0f %14.1f %14.2f %14.1f %14.2f\n", MiB(bytes),
-                sstats.elapsed_micros / 1000.0, last_out_rate / (1 << 30),
-                rstats.elapsed_micros / 1000.0, last_back_rate / (1 << 30));
+    last_unverified_rate = Rate(unverified_rstats.bytes_copied,
+                                unverified_rstats.elapsed_micros);
+    const double verify_x =
+        unverified_rstats.elapsed_micros <= 0
+            ? 0.0
+            : static_cast<double>(rstats.elapsed_micros) /
+                  static_cast<double>(unverified_rstats.elapsed_micros);
+    std::printf("%10.0f %14.1f %14.2f %14.1f %14.2f %14.1f %10.2f\n",
+                MiB(bytes), sstats.elapsed_micros / 1000.0,
+                last_out_rate / (1 << 30), rstats.elapsed_micros / 1000.0,
+                last_back_rate / (1 << 30),
+                unverified_rstats.elapsed_micros / 1000.0, verify_x);
 
     json.Row();
     json.Field("case", std::string("roundtrip"));
@@ -76,7 +108,21 @@ int Run(const std::string& json_path, bool smoke) {
     json.Field("shutdown_bytes_per_sec", last_out_rate);
     json.Field("restore_micros", rstats.elapsed_micros.load());
     json.Field("restore_bytes_per_sec", last_back_rate);
+    json.Field("verify_micros", rstats.verify_micros.load());
+    json.Row();
+    json.Field("case", std::string("roundtrip_unverified"));
+    json.Field("leaf_bytes", bytes);
+    json.Field("shutdown_micros", unverified_sstats.elapsed_micros.load());
+    json.Field("shutdown_bytes_per_sec",
+               Rate(unverified_sstats.bytes_copied,
+                    unverified_sstats.elapsed_micros));
+    json.Field("restore_micros", unverified_rstats.elapsed_micros.load());
+    json.Field("restore_bytes_per_sec", last_unverified_rate);
   }
+  std::printf("(restore_ms checks every column's CRC32C (crc32c path: %s), "
+              "as the server does;\n unverif_ms restores the same data "
+              "with the check off; verify_x = restore_ms / unverif_ms)\n\n",
+              crc32c::ActivePathName());
 
   // Ablation: Fig 6's "estimate size of table". Underestimates pay
   // segment grows (ftruncate + mremap); overestimates are truncated free
@@ -111,8 +157,9 @@ int Run(const std::string& json_path, bool smoke) {
   std::printf("\nextrapolation to a 12 GB production leaf (measured rates):\n");
   std::printf("  shutdown copy-out: %5.1f s   (paper: 3-4 s)\n",
               leaf_bytes / last_out_rate);
-  std::printf("  restore copy-back: %5.1f s   (paper: \"a few seconds\")\n",
-              leaf_bytes / last_back_rate);
+  std::printf("  restore copy-back: %5.1f s   (paper: \"a few seconds\"; "
+              "%.1f s unverified)\n",
+              leaf_bytes / last_back_rate, leaf_bytes / last_unverified_rate);
 
   // E14 — self-stats exporter overhead on the restart path. The exporter
   // ("Scuba monitors Scuba") runs at a 1 s period while the leaf ingests,

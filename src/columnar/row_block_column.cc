@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/byte_buffer.h"
+#include "util/clock.h"
 #include "util/crc32c.h"
 
 namespace scuba {
@@ -181,9 +182,13 @@ Status RowBlockColumn::ValidateBuffer(Slice buffer, bool verify_checksum) {
 }
 
 StatusOr<RowBlockColumn> RowBlockColumn::FromBuffer(
-    std::unique_ptr<uint8_t[]> buffer, size_t size, bool verify_checksum) {
-  SCUBA_RETURN_IF_ERROR(
-      ValidateBuffer(Slice(buffer.get(), size), verify_checksum));
+    std::unique_ptr<uint8_t[]> buffer, size_t size, bool verify_checksum,
+    int64_t* verify_micros) {
+  const bool timed = verify_checksum && verify_micros != nullptr;
+  const int64_t start = timed ? SteadyNowMicros() : 0;
+  Status valid = ValidateBuffer(Slice(buffer.get(), size), verify_checksum);
+  if (timed) *verify_micros += SteadyNowMicros() - start;
+  SCUBA_RETURN_IF_ERROR(valid);
   return RowBlockColumn(std::move(buffer), size);
 }
 

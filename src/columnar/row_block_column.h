@@ -75,10 +75,14 @@ class RowBlockColumn {
   /// Adopts a buffer that already holds a serialized column (e.g. memcpy'd
   /// out of a shared memory segment). Validates magic and offsets, plus the
   /// CRC32C when `verify_checksum` (skipping the CRC makes adoption pure
-  /// memcpy-speed, which is what the paper's restore path does).
+  /// memcpy-speed, which is what the paper's restore path does). A non-null
+  /// `verify_micros` accumulates the time spent validating a checksummed
+  /// buffer (the restore's checksum layer); it is left alone when
+  /// `verify_checksum` is false.
   static StatusOr<RowBlockColumn> FromBuffer(std::unique_ptr<uint8_t[]> buffer,
                                              size_t size,
-                                             bool verify_checksum = true);
+                                             bool verify_checksum = true,
+                                             int64_t* verify_micros = nullptr);
 
   /// Validates an in-place serialized column without copying (used to check
   /// a column while it still lives in a shared memory segment).

@@ -13,6 +13,7 @@
 #include "shm/shm_segment.h"
 #include "shm/table_segment.h"
 #include "util/clock.h"
+#include "util/crc32c.h"
 #include "util/logging.h"
 
 namespace scuba {
@@ -28,6 +29,7 @@ struct RestoreMetrics {
   obs::Counter* bytes;
   obs::Counter* blocks_on_demand;
   obs::Counter* blocks_background;
+  obs::Counter* verify_micros;
   obs::Histogram* block_bytes;
   obs::Histogram* elapsed_micros;
 
@@ -41,6 +43,7 @@ struct RestoreMetrics {
         reg.GetCounter("scuba.core.restore.bytes_copied"),
         reg.GetCounter("scuba.core.restore.blocks_on_demand"),
         reg.GetCounter("scuba.core.restore.blocks_background"),
+        reg.GetCounter("scuba.core.restore.verify_micros"),
         reg.GetHistogram("scuba.core.restore.block_bytes"),
         reg.GetHistogram("scuba.core.restore.elapsed_micros")};
     return m;
@@ -118,14 +121,15 @@ class ShmRestoreSource : public RestoreSource {
     const TableSegmentReader::BlockEntry& entry = seg->reader.block(rb);
     const size_t num_columns = entry.columns.size();
     std::vector<std::unique_ptr<RowBlockColumn>> columns(num_columns);
+    LoadedUnit loaded;
     for (size_t c = 0; c < num_columns; ++c) {
       const auto& [offset, size] = entry.columns[c];
       // Fig 7's single memcpy per column, through the stable base captured
       // at open — in-place truncation never moves live offsets.
       std::unique_ptr<uint8_t[]> heap_buf(new uint8_t[size]);
       std::memcpy(heap_buf.get(), seg->base + offset, size);
-      auto column =
-          RowBlockColumn::FromBuffer(std::move(heap_buf), size, verify_);
+      auto column = RowBlockColumn::FromBuffer(std::move(heap_buf), size,
+                                               verify_, &loaded.verify_micros);
       if (!column.ok()) return column.status();
       columns[c] =
           std::make_unique<RowBlockColumn>(std::move(column).value());
@@ -133,7 +137,6 @@ class ShmRestoreSource : public RestoreSource {
     auto block = RowBlock::FromParts(entry.meta.header, entry.meta.schema,
                                      std::move(columns));
     if (!block.ok()) return block.status();
-    LoadedUnit loaded;
     loaded.block = std::move(block).value();
     loaded.columns_copied = num_columns;
     return loaded;
@@ -262,11 +265,10 @@ class ColsRestoreSource : public RestoreSource {
     const auto& [t, b] = unit_loc_[i];
     const ColumnarBackupReader::BlockRef& ref = backups_[t].blocks[b];
     Stopwatch watch;
-    SCUBA_ASSIGN_OR_RETURN(std::unique_ptr<RowBlock> block,
-                           ColumnarBackupReader::ParseBlock(ref.payload,
-                                                            verify_));
     LoadedUnit loaded;
-    loaded.block = std::move(block);
+    SCUBA_ASSIGN_OR_RETURN(
+        loaded.block, ColumnarBackupReader::ParseBlock(ref.payload, verify_,
+                                                       &loaded.verify_micros));
     loaded.columns_copied = ref.meta.column_sizes.size();
     loaded.disk.translate_micros = watch.ElapsedMicros();
     return loaded;
@@ -644,10 +646,12 @@ void InstantRestoreEngine::WorkerLoop() {
     uint64_t num_blocks = 0;
     uint64_t num_columns = 0;
     DiskRestoreStats disk;
+    int64_t verify_micros = 0;
     if (status.ok()) {
       num_blocks = loaded.value().NumBlocks();
       num_columns = loaded.value().columns_copied;
       disk = loaded.value().disk;
+      verify_micros = loaded.value().verify_micros;
       if (options_.footprint != nullptr) options_.footprint->Add(unit.bytes);
       status = adopt_(unit, std::move(loaded).value());
     }
@@ -664,6 +668,7 @@ void InstantRestoreEngine::WorkerLoop() {
       stats_.row_blocks_restored += num_blocks;
       stats_.columns_restored += num_columns;
       stats_.bytes_copied += unit.bytes;
+      stats_.verify_micros += verify_micros;
       disk_stats_.Add(disk);
       if (on_demand) {
         ++stats_.blocks_on_demand;
@@ -675,6 +680,7 @@ void InstantRestoreEngine::WorkerLoop() {
       metrics.row_blocks->Add(num_blocks);
       metrics.columns->Add(num_columns);
       metrics.bytes->Add(unit.bytes);
+      metrics.verify_micros->Add(static_cast<uint64_t>(verify_micros));
       metrics.block_bytes->Record(unit.bytes);
       if (options_.heartbeat != nullptr) {
         options_.heartbeat->AddBytesCopied(unit.bytes);
@@ -760,7 +766,9 @@ void InstantRestoreEngine::FinishOnLastWorker() {
                << stats_.bytes_copied << " bytes in "
                << stats_.elapsed_micros / 1000 << " ms ("
                << std::max<size_t>(1, options_.num_copy_threads)
-               << " copy threads)";
+               << " copy threads), checksums "
+               << stats_.verify_micros / 1000 << " ms (crc32c "
+               << crc32c::ActivePathName() << ")";
     if (options_.flight_recorder != nullptr) {
       options_.flight_recorder->Record(FlightRecorder::EventType::kRestore,
                                        RestartPhase::kCopyIn, "engine done",

@@ -95,6 +95,9 @@ struct LoadedUnit {
   uint64_t columns_copied = 0;
   /// File reads and translation this Load did (disk sources).
   DiskRestoreStats disk;
+  /// Time this Load spent validating column checksums (shm and .cols
+  /// sources with verification on; 0 otherwise).
+  int64_t verify_micros = 0;
 
   size_t NumBlocks() const {
     return block != nullptr ? 1 : blocks.size();

@@ -276,6 +276,10 @@ void RestartManager::FinishRecovery(const InstantRestoreEngine* engine,
                  << "dropped " << dropped << " blocks";
     }
   }
+  // The epilogue — result, gauge and the report write — is covered by its
+  // own span, as the shutdown's is, so the timeline accounts for (nearly)
+  // all wall time. The report's own copy of the trace shows it still open.
+  obs::PhaseTracer::Span report_span(tracer, "report");
   result->source = engine == nullptr ? RecoverySource::kFresh
                                      : engine->source().recovery_source();
   if (engine != nullptr) {
@@ -297,6 +301,7 @@ void RestartManager::FinishRecovery(const InstantRestoreEngine* engine,
        << ", \"blocks_background\": " << stats.blocks_background.load()
        << ", \"bytes_copied\": " << stats.bytes_copied.load()
        << ", \"elapsed_micros\": " << stats.elapsed_micros.load()
+       << ", \"verify_micros\": " << stats.verify_micros.load()
        << ", \"trace\": " << result->trace_json;
   WriteReport("recovery", body.str());
 }

@@ -55,6 +55,12 @@ struct RestoreStats {
   std::atomic<uint64_t> columns_restored{0};
   std::atomic<uint64_t> bytes_copied{0};
   std::atomic<int64_t> elapsed_micros{0};
+  /// Time spent validating column checksums, summed across copy workers
+  /// (so it can exceed elapsed_micros with several workers): the checksum
+  /// share of shm copy-in or .cols translation, not an extra stage. 0 when
+  /// verify_checksums is off and for .bak sources, whose CRCs are per
+  /// record and checked by the reader.
+  std::atomic<int64_t> verify_micros{0};
   /// Split of the restored units into query-driven priority pulls vs. the
   /// background sequential filler. A blocking restore has no queries, so
   /// every unit is background.
@@ -69,6 +75,7 @@ struct RestoreStats {
     columns_restored = other.columns_restored.load();
     bytes_copied = other.bytes_copied.load();
     elapsed_micros = other.elapsed_micros.load();
+    verify_micros = other.verify_micros.load();
     blocks_on_demand = other.blocks_on_demand.load();
     blocks_background = other.blocks_background.load();
     return *this;

@@ -43,7 +43,8 @@ void BuildBlockPayload(const RowBlock& block, ByteBuffer* payload) {
 // Parses a .cols record payload into a heap row block. The column copies
 // are single memcpys — this is the "much simpler translation" of §6.
 StatusOr<std::unique_ptr<RowBlock>> ParseBlockPayload(Slice payload,
-                                                      bool verify_checksums) {
+                                                      bool verify_checksums,
+                                                      int64_t* verify_micros) {
   if (payload.size() < 4) {
     return Status::Corruption("cols record: truncated meta length");
   }
@@ -68,7 +69,7 @@ StatusOr<std::unique_ptr<RowBlock>> ParseBlockPayload(Slice payload,
         RowBlockColumn column,
         RowBlockColumn::FromBuffer(std::move(heap_buf),
                                    static_cast<size_t>(col_size),
-                                   verify_checksums));
+                                   verify_checksums, verify_micros));
     columns.push_back(std::make_unique<RowBlockColumn>(std::move(column)));
     payload.RemovePrefix(AlignUp8(static_cast<size_t>(col_size)));
   }
@@ -285,8 +286,8 @@ StatusOr<uint64_t> ColumnarBackupReader::CountBlocks(
 }
 
 StatusOr<std::unique_ptr<RowBlock>> ColumnarBackupReader::ParseBlock(
-    Slice payload, bool verify_checksums) {
-  return ParseBlockPayload(payload, verify_checksums);
+    Slice payload, bool verify_checksums, int64_t* verify_micros) {
+  return ParseBlockPayload(payload, verify_checksums, verify_micros);
 }
 
 StatusOr<ColumnarBackupReader::TableBackup> ColumnarBackupReader::ReadTable(

@@ -1,6 +1,7 @@
 #include "ingest/category_log.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/metrics.h"
 #include "obs/stats_exporter.h"
@@ -36,12 +37,12 @@ void CategoryLog::AppendBatch(const std::string& category,
   const int64_t now = SteadyNowMicros();
   std::lock_guard<std::mutex> lock(mutex_);
   Log& log = logs_[category];
-  log.rows.reserve(log.rows.size() + rows.size());
-  log.append_micros.reserve(log.append_micros.size() + rows.size());
-  for (Row& row : rows) {
-    log.rows.push_back(std::move(row));
-    log.append_micros.push_back(now);
-  }
+  // Range inserts grow the vectors geometrically, so an append costs about
+  // one batch; reserving the exact new size would move the whole log on
+  // every batch.
+  log.rows.insert(log.rows.end(), std::make_move_iterator(rows.begin()),
+                  std::make_move_iterator(rows.end()));
+  log.append_micros.insert(log.append_micros.end(), rows.size(), now);
 }
 
 void CategoryLog::DropReserved(const std::string& category, size_t rows) {

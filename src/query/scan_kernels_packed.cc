@@ -1,8 +1,8 @@
 #include <atomic>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "query/scan_kernels_packed_internal.h"
+#include "util/cpu_features.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <emmintrin.h>  // SSE2 — baseline on x86-64, no extra flags needed
@@ -34,15 +34,10 @@ struct PackedMetrics {
 };
 
 SimdLevel DetectSimdLevel() {
-  const char* force = std::getenv("SCUBA_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' &&
-      !(force[0] == '0' && force[1] == '\0')) {
-    return SimdLevel::kScalar;
-  }
+  const CpuFeatures& cpu = GetCpuFeatures();
+  if (cpu.force_scalar) return SimdLevel::kScalar;
 #if defined(SCUBA_HAVE_SSE2)
-  if (internal::Avx2CompiledIn() && __builtin_cpu_supports("avx2")) {
-    return SimdLevel::kAvx2;
-  }
+  if (internal::Avx2CompiledIn() && cpu.avx2) return SimdLevel::kAvx2;
   return SimdLevel::kSse2;  // SSE2 is baseline x86-64
 #else
   return SimdLevel::kScalar;

@@ -1,6 +1,7 @@
 #include "util/crc32c.h"
 
-#include <array>
+#include "util/cpu_features.h"
+#include "util/crc32c_internal.h"
 
 namespace scuba {
 namespace crc32c {
@@ -35,9 +36,33 @@ const Tables& GetTables() {
   return tables;
 }
 
+using ExtendFn = uint32_t (*)(uint32_t, const uint8_t*, size_t);
+
+// The path is chosen once per process, from the same probe (and the same
+// SCUBA_FORCE_SCALAR pin) as the packed scan kernels.
+ExtendFn ActiveExtend() {
+  static const ExtendFn fn = [] {
+    const CpuFeatures& cpu = GetCpuFeatures();
+    return !cpu.force_scalar && cpu.sse42 && internal::Sse42CompiledIn()
+               ? internal::ExtendSse42
+               : internal::ExtendTable;
+  }();
+  return fn;
+}
+
 }  // namespace
 
 uint32_t Extend(uint32_t init_crc, const uint8_t* data, size_t n) {
+  return ActiveExtend()(init_crc, data, n);
+}
+
+const char* ActivePathName() {
+  return ActiveExtend() == internal::ExtendSse42 ? "sse4.2" : "table";
+}
+
+namespace internal {
+
+uint32_t ExtendTable(uint32_t init_crc, const uint8_t* data, size_t n) {
   const Tables& tb = GetTables();
   uint32_t crc = init_crc ^ 0xFFFFFFFFu;
   // Process 4 bytes at a time.
@@ -59,5 +84,6 @@ uint32_t Extend(uint32_t init_crc, const uint8_t* data, size_t n) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+}  // namespace internal
 }  // namespace crc32c
 }  // namespace scuba

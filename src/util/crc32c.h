@@ -9,7 +9,13 @@ namespace crc32c {
 
 /// Returns the CRC-32C (Castagnoli) of data[0, n). `init_crc` is the CRC of
 /// a preceding chunk for incremental computation (pass 0 for a fresh CRC).
+/// Runs the SSE4.2 crc32 instruction where the CPU has it, else a table
+/// loop; both give identical values (see crc32c_internal.h).
 uint32_t Extend(uint32_t init_crc, const uint8_t* data, size_t n);
+
+/// The path Extend runs in this process: "sse4.2" or "table" (non-x86,
+/// no SSE4.2, or SCUBA_FORCE_SCALAR set).
+const char* ActivePathName();
 
 inline uint32_t Value(const uint8_t* data, size_t n) {
   return Extend(0, data, n);

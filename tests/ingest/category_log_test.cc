@@ -67,5 +67,38 @@ TEST(CategoryLogTest, OffsetsAreStable) {
   EXPECT_EQ(first[0].Time(), second[0].Time());
 }
 
+// Many small batches (the tailer's shape): every row reads back in append
+// order, each with the stamp taken when its batch was appended.
+TEST(CategoryLogTest, ManyBatchesReadBackInOrderWithStamps) {
+  constexpr int kBatches = 2000;
+  constexpr int kBatchRows = 128;
+  CategoryLog log;
+  std::vector<std::pair<int64_t, int64_t>> stamp_bounds;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<Row> batch(kBatchRows);
+    for (int r = 0; r < kBatchRows; ++r) {
+      batch[r].SetTime(int64_t{b} * kBatchRows + r);
+    }
+    const int64_t lo = CategoryLog::SteadyNowMicros();
+    log.AppendBatch("events", std::move(batch));
+    stamp_bounds.emplace_back(lo, CategoryLog::SteadyNowMicros());
+  }
+  ASSERT_EQ(log.Size("events"), uint64_t{kBatches} * kBatchRows);
+
+  int64_t last_stamp = 0;
+  std::vector<Row> out;
+  for (uint64_t i = 0; i < log.Size("events"); ++i) {
+    out.clear();
+    int64_t stamp = -1;
+    ASSERT_EQ(log.Read("events", i, 1, &out, &stamp), 1u);
+    ASSERT_EQ(out[0].Time(), static_cast<int64_t>(i));
+    const auto& [lo, hi] = stamp_bounds[i / kBatchRows];
+    ASSERT_GE(stamp, lo) << "row " << i;
+    ASSERT_LE(stamp, hi) << "row " << i;
+    ASSERT_GE(stamp, last_stamp) << "row " << i;
+    last_stamp = stamp;
+  }
+}
+
 }  // namespace
 }  // namespace scuba

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "server/leaf_server.h"
 #include "test_util.h"
 
@@ -160,6 +163,48 @@ TEST(ColumnarLeafTest, BothFormatsRecoverSameData) {
 
   EXPECT_EQ(run(BackupFormatKind::kRowMajor, 1), 3000u);
   EXPECT_EQ(run(BackupFormatKind::kColumnar, 2), 3000u);
+}
+
+// Checksum validation is its own restart layer: the shm and .cols sources
+// time it into verify_micros, which the recovery report carries, and it
+// stays 0 when verification is off.
+TEST(ColumnarLeafTest, VerifyMicrosTimesTheChecksumLayer) {
+  for (bool verify : {true, false}) {
+    const std::string tag = verify ? "cl6v" : "cl6n";
+    ShmNamespace ns(tag);
+    TempDir dir(tag);
+    LeafServerConfig config = MakeConfig(ns, dir);
+    config.verify_checksums_on_restore = verify;
+    {
+      LeafServer leaf(config);
+      ASSERT_TRUE(leaf.Start().ok());
+      for (int i = 0; i < 9; ++i) {  // one sealed block plus a tail
+        ASSERT_TRUE(leaf.AddRows("events", MakeRows(8192, 1000 + i)).ok());
+      }
+      ShutdownStats stats;
+      ASSERT_TRUE(leaf.ShutdownToSharedMemory(&stats).ok());
+    }
+    for (RecoverySource want :
+         {RecoverySource::kSharedMemory, RecoverySource::kDisk}) {
+      LeafServer leaf(config);
+      auto started = leaf.Start();
+      ASSERT_TRUE(started.ok()) << started.status().ToString();
+      ASSERT_EQ(started->source, want);
+      const int64_t verify_micros = started->shm_stats.verify_micros.load();
+      if (verify) {
+        EXPECT_GT(verify_micros, 0) << RecoverySourceName(want);
+      } else {
+        EXPECT_EQ(verify_micros, 0) << RecoverySourceName(want);
+      }
+      std::ifstream in(config.backup_dir + "/leaf_0.recovery_report.json");
+      std::stringstream report;
+      report << in.rdbuf();
+      EXPECT_NE(report.str().find("\"verify_micros\": " +
+                                  std::to_string(verify_micros)),
+                std::string::npos);
+      leaf.Crash();  // the next start reads the .cols backup
+    }
+  }
 }
 
 }  // namespace
