@@ -187,9 +187,9 @@ double ClosedLoopQps(Cluster* cluster, const std::vector<LoadDeckEntry>& deck,
 // claim to check is that a background monitor evaluating continuously
 // costs ~nothing against the workload's serving capacity (system tables
 // are a few hundred rows; workload blocks are the expensive part). Two
-// fresh clusters, identical preload, closed-loop capacity probe each:
-// mode 0 without a monitor, mode 1 with the evaluation thread at an
-// aggressive period.
+// fresh clusters, identical preload, closed-loop capacity probe each
+// (after an untimed warm-up probe): mode 0 without a monitor, mode 1 with
+// the evaluation thread at an aggressive period.
 int RunHealthOverheadLeg(BenchEnv* env, JsonWriter* json, bool smoke) {
   std::printf("\n--- E20: health-engine overhead on serving capacity ---\n");
   std::printf("%12s %14s %14s %12s\n", "health", "qps", "evaluations",
@@ -226,6 +226,11 @@ int RunHealthOverheadLeg(BenchEnv* env, JsonWriter* json, bool smoke) {
     const uint64_t errors_before = obs::MetricsRegistry::Global()
                                        .GetCounter("scuba.obs.health.rule_errors")
                                        ->Value();
+    // Untimed warm-up of the same length: a fresh cluster's first second
+    // of closed-loop load can run at a fraction of its steady rate (seen
+    // at 0.5-0.7x in either mode, at random), which made the off-vs-on
+    // delta read up to +-170%.
+    ClosedLoopQps(&cluster, deck, duration_micros, 4);
     out_rate[mode] = ClosedLoopQps(&cluster, deck, duration_micros, 4);
     uint64_t evaluations = 0, rule_errors = 0;
     if (health) {

@@ -21,6 +21,10 @@
 //      serve from cache; only the write-buffer tail rescans. Reports QPS
 //      both ways and the decode_micros share; results must be
 //      bit-identical (digest-checked).
+//   F. Dashboard tail: the slowest dashboard panel (group by endpoint,
+//      P99(latency_ms), last 30 s) on a leaf whose write buffer is three
+//      quarters full, so the window's rows are buffered strings, not
+//      sealed dictionary codes.
 //
 // Every row carries `result_digest`, a CRC32C over the finalized rows
 // (group keys + aggregate bit patterns, in Finalize's deterministic
@@ -29,11 +33,12 @@
 //
 // Thread speedups are hardware-dependent: on a single-core host the pool
 // serializes and shows ~1x; expect the multi-thread gains on real cores.
-// Every vectorized run is checked against the scalar result (groups and
-// matched rows must agree).
+// Every vectorized run is checked against the scalar result (matched rows
+// and the finalized group keys must agree).
 //
 // Usage: bench_query [--json <path>] [--smoke]
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -75,6 +80,30 @@ std::unique_ptr<Table> BuildTable() {
     }
   }
   if (!table->SealWriteBuffer(0).ok()) std::abort();
+  return table;
+}
+
+// A leaf as the dashboard sees it: sealed blocks (a quarter of the main
+// table's rows) plus a write buffer three quarters full (48,960 of 65,536
+// rows; --smoke: 4,096), at 250 rows/s of event time, so the last 30 s
+// are ~6,900 buffered rows.
+std::unique_ptr<Table> BuildBufferedTable(bool smoke) {
+  auto table = std::make_unique<Table>("service_logs");
+  RowGeneratorConfig config;
+  config.seed = 3;
+  config.rows_per_second = 250;
+  RowGenerator gen(config);
+  auto add = [&](size_t rows) {
+    for (size_t added = 0; added < rows; added += 8192) {
+      const size_t batch = std::min<size_t>(8192, rows - added);
+      if (!table->AddRows(gen.NextBatch(batch), gen.current_time()).ok()) {
+        std::abort();
+      }
+    }
+  };
+  add(g_rows / 4);
+  if (!table->SealWriteBuffer(0).ok()) std::abort();
+  add(smoke ? 4096 : 48960);
   return table;
 }
 
@@ -132,12 +161,19 @@ Timing TimeVectorized(const Table& table, const Query& query,
 
 void CheckAgainstScalar(const char* label, const QueryResult& scalar,
                         const QueryResult& vectorized) {
-  if (scalar.num_groups() != vectorized.num_groups() ||
-      scalar.rows_matched != vectorized.rows_matched) {
+  // Finalizing with no aggregates yields the sorted group keys alone.
+  std::vector<ResultRow> want = scalar.Finalize({});
+  std::vector<ResultRow> got = vectorized.Finalize({});
+  bool same_keys = want.size() == got.size();
+  for (size_t i = 0; same_keys && i < want.size(); ++i) {
+    same_keys = want[i].group_key == got[i].group_key;
+  }
+  if (!same_keys || scalar.rows_matched != vectorized.rows_matched) {
     std::fprintf(stderr,
-                 "%s: vectorized mismatch (groups %zu vs %zu, matched %llu "
+                 "%s: vectorized mismatch (groups %zu vs %zu%s, matched %llu "
                  "vs %llu)\n",
-                 label, scalar.num_groups(), vectorized.num_groups(),
+                 label, want.size(), got.size(),
+                 same_keys ? "" : ", keys differ",
                  static_cast<unsigned long long>(scalar.rows_matched),
                  static_cast<unsigned long long>(vectorized.rows_matched));
     std::abort();
@@ -500,6 +536,39 @@ int Run(const std::string& json_path, bool smoke) {
       std::fprintf(stderr, "e16: cache produced no bucket hits\n");
       return 1;
     }
+  }
+
+  // --- F: dashboard tail (the by_endpoint panel) ---------------------------
+  // The dashboard's slowest panel. Its window lies in the write buffer, so
+  // every matched row's endpoint is a buffered string (18-20 bytes, past
+  // the short-string buffer) rather than a sealed block's dictionary code.
+  {
+    std::unique_ptr<Table> buffered = BuildBufferedTable(smoke);
+    const int64_t end_time = buffered->write_buffer().max_time();
+    Query q;
+    q.table = "service_logs";
+    q.begin_time = end_time - 29;
+    q.end_time = end_time;
+    q.group_by = {"endpoint"};
+    q.aggregates = {Count(), P99("latency_ms")};
+
+    Timing scalar = TimeScalar(*buffered, q);
+    Timing vec = TimeVectorized(*buffered, q, nullptr);
+    CheckAgainstScalar("by_endpoint_buffered", scalar.result, vec.result);
+    double speedup = vec.millis > 0 ? scalar.millis / vec.millis : 0.0;
+    std::printf("\n-- F: dashboard tail (by_endpoint, last 30 s) --\n");
+    std::printf("table: %zu sealed blocks + %zu buffered rows; %llu rows "
+                "matched, %zu groups\n",
+                buffered->num_row_blocks(),
+                buffered->write_buffer().row_count(),
+                static_cast<unsigned long long>(vec.result.rows_matched),
+                vec.result.num_groups());
+    std::printf("scalar: %.3f ms  vectorized: %.3f ms  (%.2fx)\n",
+                scalar.millis, vec.millis, speedup);
+    Emit(&json, "dashboard_tail", "by_endpoint_buffered", "scalar", 1, scalar,
+         1.0, q.aggregates);
+    Emit(&json, "dashboard_tail", "by_endpoint_buffered", "vectorized", 1, vec,
+         speedup, q.aggregates);
   }
 
   if (!json_path.empty()) {

@@ -109,9 +109,14 @@ Status WriteBuffer::AddRow(const Row& row) {
 
 std::optional<ColumnValues> WriteBuffer::MaterializeColumn(
     const std::string& name) const {
+  const ColumnValues* values = ColumnView(name);
+  if (values == nullptr) return std::nullopt;
+  return *values;
+}
+
+const ColumnValues* WriteBuffer::ColumnView(const std::string& name) const {
   auto it = columns_.find(name);
-  if (it == columns_.end()) return std::nullopt;
-  return it->second.values;
+  return it == columns_.end() ? nullptr : &it->second.values;
 }
 
 std::optional<ColumnType> WriteBuffer::ColumnTypeOf(

@@ -55,6 +55,10 @@ class WriteBuffer {
   /// supplied the column yet. Lets queries see not-yet-sealed rows.
   std::optional<ColumnValues> MaterializeColumn(const std::string& name) const;
 
+  /// The buffered column's dense values in place, or nullptr if no row has
+  /// supplied the column yet. Valid until the next AddRow or Seal.
+  const ColumnValues* ColumnView(const std::string& name) const;
+
   /// Type of a buffered column, or nullopt.
   std::optional<ColumnType> ColumnTypeOf(const std::string& name) const;
 

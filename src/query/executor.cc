@@ -1,8 +1,12 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -126,9 +130,15 @@ ColumnValues DefaultColumn(ColumnType type, size_t rows) {
 }
 
 // Floor-divide toward negative infinity so pre-epoch times bucket
-// consistently.
+// consistently. A bucket starting below INT64_MIN (a time within `w` of
+// it, when `w` does not divide INT64_MIN) starts at INT64_MIN instead.
 int64_t TimeBucket(int64_t t, int64_t w) {
-  return (t >= 0 ? t / w : (t - w + 1) / w) * w;
+  int64_t q = t / w;
+  if (t % w < 0) --q;
+  if (q < std::numeric_limits<int64_t>::min() / w) {
+    return std::numeric_limits<int64_t>::min();
+  }
+  return q * w;
 }
 
 // ===========================================================================
@@ -417,27 +427,31 @@ class PackedChunk {
   std::unordered_map<std::string, std::unique_ptr<PackedInt64Column>> views_;
 };
 
+// An absent column reads as its type's default on every row (a one-entry
+// dictionary for strings).
+scan::ScanColumn DefaultScanColumn(ColumnType type, size_t rows) {
+  switch (type) {
+    case ColumnType::kInt64:
+      return std::vector<int64_t>(rows, 0);
+    case ColumnType::kDouble:
+      return std::vector<double>(rows, 0.0);
+    case ColumnType::kString:
+      break;
+  }
+  return scan::DictStringColumn{{std::string()},
+                                std::vector<uint32_t>(rows, 0)};
+}
+
 // Decodes one row block column into scan form, by the resolved type.
 // String columns keep their dictionary form when the stored encoding has
-// one; absent columns read as defaults (a one-entry dictionary for strings).
+// one; absent columns read as defaults.
 Status LoadBlockColumn(const RowBlock& block, const TypeMap& types,
                        size_t rows, const std::string& name,
                        scan::ScanColumn* out) {
   const RowBlockColumn* column = block.ColumnByName(name);
   ColumnType expected = types.at(name);
   if (column == nullptr) {
-    switch (expected) {
-      case ColumnType::kInt64:
-        *out = std::vector<int64_t>(rows, 0);
-        break;
-      case ColumnType::kDouble:
-        *out = std::vector<double>(rows, 0.0);
-        break;
-      case ColumnType::kString:
-        *out = scan::DictStringColumn{{std::string()},
-                                      std::vector<uint32_t>(rows, 0)};
-        break;
-    }
+    *out = DefaultScanColumn(expected, rows);
     return Status::OK();
   }
   switch (expected) {
@@ -471,16 +485,46 @@ Status LoadBlockColumn(const RowBlock& block, const TypeMap& types,
   return Status::OK();
 }
 
-Status LoadBufferColumn(const WriteBuffer& buffer, const TypeMap& types,
-                        const std::string& name, scan::ScanColumn* out) {
-  auto values = buffer.MaterializeColumn(name);
-  if (!values.has_value()) {
-    ColumnValues defaults = DefaultColumn(types.at(name), buffer.row_count());
-    std::visit([&](auto&& v) { *out = std::move(v); }, defaults);
-    return Status::OK();
+// Dictionary form of the selected rows of a string column (every row when
+// `sel` is null), codes in first-appearance order. Unselected rows keep
+// code 0 and are never read.
+scan::DictStringColumn InternStrings(const std::vector<std::string>& values,
+                                     const scan::SelVector* sel) {
+  scan::DictStringColumn out;
+  out.codes.assign(values.size(), 0);
+  std::unordered_map<std::string_view, uint32_t> codes;
+  auto intern = [&](uint32_t row) {
+    auto [it, fresh] = codes.try_emplace(
+        values[row], static_cast<uint32_t>(out.dict.size()));
+    if (fresh) out.dict.push_back(values[row]);
+    out.codes[row] = it->second;
+  };
+  if (sel == nullptr) {
+    for (size_t row = 0; row < values.size(); ++row) {
+      intern(static_cast<uint32_t>(row));
+    }
+  } else {
+    for (uint32_t row : *sel) intern(row);
   }
-  std::visit([&](auto&& v) { *out = std::move(v); }, *values);
-  return Status::OK();
+  return out;
+}
+
+// Reads one buffered column in place. Strings intern only the selected
+// rows, so buffered strings filter and group in dictionary form like
+// sealed ones; numeric columns copy.
+scan::ScanColumn LoadBufferColumn(const WriteBuffer& buffer,
+                                  const TypeMap& types,
+                                  const std::string& name,
+                                  const scan::SelVector* sel) {
+  const ColumnValues* values = buffer.ColumnView(name);
+  if (values == nullptr) {
+    return DefaultScanColumn(types.at(name), buffer.row_count());
+  }
+  if (const auto* strs = std::get_if<std::vector<std::string>>(values)) {
+    return InternStrings(*strs, sel);
+  }
+  return std::visit([](const auto& v) { return scan::ScanColumn(v); },
+                    *values);
 }
 
 // Per-chunk predicate type validation (the scalar path's per-cell errors,
@@ -598,6 +642,130 @@ bool ZonePrunesBlock(const RowBlock& block, const Predicate& pred,
   return false;  // no zone maps for string columns
 }
 
+// ---------------------------------------------------------------------------
+// Code-keyed grouping. Each group-key element maps the selected rows to
+// dense per-chunk codes, the code tuples fold into one slot per group, and
+// the aggregates accumulate per slot. A group's Value key is built once.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kNoCode = std::numeric_limits<uint32_t>::max();
+
+// Size of a direct code table for ids in [0, max_id], or 0 (hash the ids)
+// when such a table would be much larger than the `rows` it codes.
+uint64_t DirectTableSize(uint64_t max_id, size_t rows) {
+  return max_id < std::max<uint64_t>(4 * uint64_t{rows}, 4096) ? max_id + 1
+                                                               : 0;
+}
+
+// Codes ids id_at(0..n) densely in first-appearance order, through a direct
+// table of `table_size` entries (every id below it) or, when 0, a hash map.
+// on_new(i) runs once per code, at the first position that has it.
+template <typename IdAt, typename OnNew>
+std::vector<uint32_t> DenseCodes(size_t n, uint64_t table_size, IdAt id_at,
+                                 OnNew on_new) {
+  std::vector<uint32_t> codes(n);
+  std::vector<uint32_t> table(table_size, kNoCode);
+  std::unordered_map<uint64_t, uint32_t> map;
+  uint32_t next = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t id = id_at(i);
+    uint32_t& code =
+        table_size > 0 ? table[id] : map.try_emplace(id, kNoCode).first->second;
+    if (code == kNoCode) {
+      code = next++;
+      on_new(i);
+    }
+    codes[i] = code;
+  }
+  return codes;
+}
+
+// One group-key element over the selected rows: codes[i] is the code of
+// row sel[i], values[c] the key value of code c.
+struct KeyCodes {
+  std::vector<uint32_t> codes;
+  std::vector<Value> values;
+};
+
+// int64 keys (values already gathered per selected row), by value: a
+// direct table over [min, max] when that span is small, else a hash.
+KeyCodes CodeInt64(const std::vector<int64_t>& values) {
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  const uint64_t base = static_cast<uint64_t>(*lo);
+  KeyCodes key;
+  key.codes = DenseCodes(
+      values.size(),
+      DirectTableSize(static_cast<uint64_t>(*hi) - base, values.size()),
+      [&](size_t i) { return static_cast<uint64_t>(values[i]) - base; },
+      [&](size_t i) { key.values.push_back(values[i]); });
+  return key;
+}
+
+// Codes one group-by column over the selected rows (non-empty). Doubles
+// code by bit pattern, as QueryResult compares keys, so -0.0/0.0 and NaN
+// payloads stay distinct groups; dictionary strings use their own codes.
+KeyCodes CodeKey(const scan::ScanColumn& column, const scan::SelVector& sel) {
+  const size_t n = sel.size();
+  KeyCodes key;
+  if (const auto* ints = std::get_if<std::vector<int64_t>>(&column)) {
+    std::vector<int64_t> values(n);
+    for (size_t i = 0; i < n; ++i) values[i] = (*ints)[sel[i]];
+    return CodeInt64(values);
+  }
+  if (const auto* dbls = std::get_if<std::vector<double>>(&column)) {
+    key.codes = DenseCodes(
+        n, 0,
+        [&](size_t i) { return std::bit_cast<uint64_t>((*dbls)[sel[i]]); },
+        [&](size_t i) { key.values.push_back((*dbls)[sel[i]]); });
+    return key;
+  }
+  if (const auto* strs = std::get_if<std::vector<std::string>>(&column)) {
+    return CodeKey(InternStrings(*strs, &sel), sel);
+  }
+  const auto& dict = std::get<scan::DictStringColumn>(column);
+  key.codes = DenseCodes(
+      n, DirectTableSize(dict.dict.size() - 1, n),
+      [&](size_t i) { return dict.codes[sel[i]]; },
+      [&](size_t i) { key.values.push_back(dict.dict[dict.codes[sel[i]]]); });
+  return key;
+}
+
+// Folds the key elements' codes into one slot per distinct key tuple:
+// slot[i] is row sel[i]'s slot, first[s] the first position in slot s.
+// With no key element every row lands in the one slot.
+struct Slots {
+  std::vector<uint32_t> slot;
+  std::vector<uint32_t> first;
+};
+
+Slots AssignSlots(const std::vector<KeyCodes>& keys, size_t n) {
+  Slots out;
+  out.slot.assign(n, 0);
+  out.first = {0};
+  for (const KeyCodes& key : keys) {
+    const uint64_t card = key.values.size();
+    const uint64_t count = out.first.size();
+    out.first.clear();
+    out.slot = DenseCodes(
+        n, DirectTableSize(count * card - 1, n),
+        [&](size_t i) { return out.slot[i] * card + key.codes[i]; },
+        [&](size_t i) { out.first.push_back(static_cast<uint32_t>(i)); });
+  }
+  return out;
+}
+
+// Adds aggregate `a`'s samples of the selected rows to their slots'
+// partials (laid out slot-major, `num_aggs` per slot), in row order.
+template <typename T>
+void AddSamples(const std::vector<T>& values, const scan::SelVector& sel,
+                const Slots& slots, bool histogram, size_t a, size_t num_aggs,
+                std::vector<AggPartial>* partials) {
+  for (size_t i = 0; i < sel.size(); ++i) {
+    (*partials)[slots.slot[i] * num_aggs + a].AddSample(
+        static_cast<double>(values[sel[i]]), histogram);
+  }
+}
+
 Status ProcessChunkVectorized(LazyColumns* cols, PackedChunk* packed,
                               const Query& query, const TypeMap& types,
                               QueryResult* result) {
@@ -676,25 +844,46 @@ Status ProcessChunkVectorized(LazyColumns* cols, PackedChunk* packed,
       return Status::InvalidArgument("query: 'time' column is not int64");
     }
   }
-  const size_t key_offset = bucketed ? 1 : 0;
-  std::vector<Value> group_key(query.group_by.size() + key_offset);
-  std::vector<QueryResult::Sample> samples(query.aggregates.size());
+  std::vector<KeyCodes> keys;
+  keys.reserve(query.group_by.size() + (bucketed ? 1 : 0));
+  if (bucketed) {
+    std::vector<int64_t> buckets(sel.size());
+    for (size_t i = 0; i < sel.size(); ++i) {
+      buckets[i] = TimeBucket((*times)[sel[i]], query.time_bucket_seconds);
+    }
+    keys.push_back(CodeInt64(buckets));
+  }
+  for (const scan::ScanColumn* col : group_cols) {
+    keys.push_back(CodeKey(*col, sel));
+  }
+  const Slots slots = AssignSlots(keys, sel.size());
 
-  for (uint32_t row : sel) {
-    if (bucketed) {
-      group_key[0] = TimeBucket((*times)[row], query.time_bucket_seconds);
-    }
-    for (size_t g = 0; g < query.group_by.size(); ++g) {
-      group_key[g + key_offset] = scan::ScanCellValue(*group_cols[g], row);
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      if (agg_cols[a] == nullptr) {
-        samples[a] = {0.0, false};
-      } else {
-        samples[a] = {scan::ScanNumericCell(*agg_cols[a], row), true};
+  const size_t num_slots = slots.first.size();
+  const size_t num_aggs = query.aggregates.size();
+  std::vector<AggPartial> partials(num_slots * num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const bool histogram = IsPercentileOp(query.aggregates[a].op);
+    if (agg_cols[a] == nullptr) {
+      for (uint32_t slot : slots.slot) {
+        partials[slot * num_aggs + a].AddCountOnly();
       }
+    } else if (const auto* ints =
+                   std::get_if<std::vector<int64_t>>(agg_cols[a])) {
+      AddSamples(*ints, sel, slots, histogram, a, num_aggs, &partials);
+    } else {
+      AddSamples(std::get<std::vector<double>>(*agg_cols[a]), sel, slots,
+                 histogram, a, num_aggs, &partials);
     }
-    result->Accumulate(group_key, samples);
+  }
+  for (size_t s = 0; s < num_slots; ++s) {
+    std::vector<Value> group_key;
+    group_key.reserve(keys.size());
+    for (const KeyCodes& key : keys) {
+      group_key.push_back(key.values[key.codes[slots.first[s]]]);
+    }
+    auto begin = std::make_move_iterator(partials.begin() + s * num_aggs);
+    result->FoldGroup(std::move(group_key),
+                      std::vector<AggPartial>(begin, begin + num_aggs));
   }
   return Status::OK();
 }
@@ -875,12 +1064,11 @@ StatusOr<QueryResult> LeafExecutor::Execute(const Table& table,
     LazyColumns cols(buffer.row_count(),
                      [&](const std::string& name, const scan::SelVector* sel,
                          scan::ScanColumn* out) {
-                       (void)sel;  // buffer rows are already materialized
                        Stopwatch decode_watch;
-                       Status s = LoadBufferColumn(buffer, types, name, out);
+                       *out = LoadBufferColumn(buffer, types, name, sel);
                        decode_micros += decode_watch.ElapsedMicros();
-                       if (s.ok()) decode_bytes += ScanColumnBytes(*out);
-                       return s;
+                       decode_bytes += ScanColumnBytes(*out);
+                       return Status::OK();
                      });
     QueryResult partial(query.aggregates);
     Stopwatch scan_watch;

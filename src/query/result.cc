@@ -107,6 +107,20 @@ void QueryResult::Accumulate(const std::vector<Value>& group_key,
   }
 }
 
+void QueryResult::FoldGroup(std::vector<Value> group_key,
+                            std::vector<AggPartial> partials) {
+  auto [it, inserted] = groups_.try_emplace(std::move(group_key));
+  Group& group = it->second;
+  if (inserted) {
+    partials.resize(ops_.size());
+    group.partials = std::move(partials);
+    return;
+  }
+  for (size_t i = 0; i < partials.size() && i < group.partials.size(); ++i) {
+    group.partials[i].Merge(partials[i]);
+  }
+}
+
 void QueryResult::Merge(const QueryResult& other) {
   if (ops_.empty()) ops_ = other.ops_;
   for (const auto& [key, other_group] : other.groups_) {

@@ -104,6 +104,12 @@ class QueryResult {
   void Accumulate(const std::vector<Value>& group_key,
                   const std::vector<Sample>& samples);
 
+  /// Folds in one group aggregated beforehand: `partials[i]` is aggregate
+  /// i's partial over the group's rows. For a key this result does not
+  /// hold yet, that equals Accumulate()-ing those rows one by one.
+  void FoldGroup(std::vector<Value> group_key,
+                 std::vector<AggPartial> partials);
+
   /// Merges another leaf's partial result (same query shape).
   void Merge(const QueryResult& other);
 

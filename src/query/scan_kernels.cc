@@ -100,40 +100,6 @@ bool ZoneCanPrune(CompareOp op, T zone_min, T zone_max, T lit) {
 
 }  // namespace
 
-size_t ScanColumnSize(const ScanColumn& column) {
-  return std::visit(
-      [](const auto& v) -> size_t {
-        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
-                                     DictStringColumn>) {
-          return v.codes.size();
-        } else {
-          return v.size();
-        }
-      },
-      column);
-}
-
-Value ScanCellValue(const ScanColumn& column, uint32_t row) {
-  if (const auto* ints = std::get_if<std::vector<int64_t>>(&column)) {
-    return (*ints)[row];
-  }
-  if (const auto* dbls = std::get_if<std::vector<double>>(&column)) {
-    return (*dbls)[row];
-  }
-  if (const auto* strs = std::get_if<std::vector<std::string>>(&column)) {
-    return (*strs)[row];
-  }
-  const auto& dict = std::get<DictStringColumn>(column);
-  return dict.dict[dict.codes[row]];
-}
-
-double ScanNumericCell(const ScanColumn& column, uint32_t row) {
-  if (const auto* ints = std::get_if<std::vector<int64_t>>(&column)) {
-    return static_cast<double>((*ints)[row]);
-  }
-  return std::get<std::vector<double>>(column)[row];
-}
-
 void SelectTimeRange(const std::vector<int64_t>& times, int64_t begin,
                      int64_t end, SelVector* sel) {
   sel->clear();

@@ -32,13 +32,6 @@ struct DictStringColumn {
 using ScanColumn = std::variant<std::vector<int64_t>, std::vector<double>,
                                 std::vector<std::string>, DictStringColumn>;
 
-/// Number of rows in a scan column.
-size_t ScanColumnSize(const ScanColumn& column);
-
-/// Cell accessors for the (non-hot) group-key / aggregate-input reads.
-Value ScanCellValue(const ScanColumn& column, uint32_t row);
-double ScanNumericCell(const ScanColumn& column, uint32_t row);
-
 /// Builds the initial selection: rows whose time lies in [begin, end].
 void SelectTimeRange(const std::vector<int64_t>& times, int64_t begin,
                      int64_t end, SelVector* sel);

@@ -36,8 +36,9 @@ class ByteBuffer {
   /// Ensures capacity >= n, preserving contents.
   void Reserve(size_t n);
 
-  /// Appends raw bytes.
+  /// Appends raw bytes. `src` may be null when `n` is 0 (an empty Slice).
   void Append(const void* src, size_t n) {
+    if (n == 0) return;  // memcpy from or to a null pointer is undefined
     EnsureRoom(n);
     std::memcpy(data_.get() + size_, src, n);
     size_ += n;

@@ -188,7 +188,8 @@ TEST(LayoutVersionTest, V1FooterRejectedSoRestoreFallsBack) {
   // Rewrite a v2 column byte-for-byte into what a v1 writer produced: drop
   // the 24 zone-map bytes, keep the trailing [uncompressed | checksum |
   // end magic], stamp version 1, fix the total size, recompute the CRC.
-  Slice v2 = RowBlockColumn::BuildInt64({100, 200, 300}).AsSlice();
+  RowBlockColumn column = RowBlockColumn::BuildInt64({100, 200, 300});
+  Slice v2 = column.AsSlice();
   const size_t body = v2.size() - RowBlockColumn::kFooterSize;
   const size_t v1_total = body + 16;
   std::unique_ptr<uint8_t[]> v1(new uint8_t[v1_total]);

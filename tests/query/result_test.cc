@@ -66,6 +66,31 @@ TEST(QueryResultTest, GroupsAccumulateByKey) {
   EXPECT_EQ(rows[1].aggregates[0], 4.0);
 }
 
+TEST(QueryResultTest, FoldGroupMatchesAccumulatingItsRows) {
+  // Into a fresh key, a pre-aggregated group equals its rows accumulated
+  // one by one (p99 keeps its histogram); into a held key, it merges.
+  const std::vector<Aggregate> aggs = {Count(), Sum("x"), P99("x")};
+  QueryResult by_row(aggs);
+  QueryResult folded(aggs);
+  std::vector<AggPartial> partials(aggs.size());
+  for (double v : {0.5, 7.25, -3.0}) {
+    by_row.Accumulate({Value(int64_t{1})},
+                      {CountSample(), SampleOf(v), SampleOf(v)});
+    partials[0].AddCountOnly();
+    partials[1].AddSample(v);
+    partials[2].AddSample(v, /*with_histogram=*/true);
+  }
+  folded.FoldGroup({Value(int64_t{1})}, partials);
+  ASSERT_EQ(folded.num_groups(), 1u);
+  EXPECT_EQ(folded.Finalize(aggs)[0].aggregates,
+            by_row.Finalize(aggs)[0].aggregates);
+
+  folded.FoldGroup({Value(int64_t{1})}, partials);
+  ASSERT_EQ(folded.num_groups(), 1u);
+  EXPECT_EQ(folded.Finalize(aggs)[0].aggregates[0], 6.0);
+  EXPECT_EQ(folded.Finalize(aggs)[0].aggregates[1], 9.5);
+}
+
 TEST(QueryResultTest, IntKeysOrderNumerically) {
   QueryResult result(1);
   for (int64_t key : {500, -3, 200, 0}) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "query/executor.h"
 #include "server/aggregator.h"
 #include "test_util.h"
@@ -85,6 +87,32 @@ TEST(TimeBucketTest, NegativeTimesFloorConsistently) {
   EXPECT_EQ(out[0].aggregates[0], 1.0);
   EXPECT_EQ(std::get<int64_t>(out[1].group_key[0]), -60);
   EXPECT_EQ(out[1].aggregates[0], 2.0);
+}
+
+TEST(TimeBucketTest, BucketsNearInt64MinStayDefined) {
+  // With w = 3, floor(INT64_MIN / 3) * 3 lies below INT64_MIN: that bucket
+  // starts at INT64_MIN instead. Both engines must agree.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Table table("events");
+  std::vector<Row> rows = {EventAt(kMin), EventAt(kMin + 1),
+                           EventAt(kMin + 2), EventAt(kMin + 3)};
+  ASSERT_TRUE(table.AddRows(rows, 0).ok());
+  Query q;
+  q.table = "events";
+  q.begin_time = kMin;
+  q.time_bucket_seconds = 3;
+  q.aggregates = {Count()};
+  for (bool scalar : {false, true}) {
+    auto result = scalar ? LeafExecutor::ExecuteScalar(table, q)
+                         : LeafExecutor::Execute(table, q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto out = result->Finalize(q.aggregates);
+    ASSERT_EQ(out.size(), 2u) << "scalar=" << scalar;
+    EXPECT_EQ(std::get<int64_t>(out[0].group_key[0]), kMin);
+    EXPECT_EQ(out[0].aggregates[0], 2.0);
+    EXPECT_EQ(std::get<int64_t>(out[1].group_key[0]), kMin + 2);
+    EXPECT_EQ(out[1].aggregates[0], 2.0);
+  }
 }
 
 TEST(TimeBucketTest, MergesAcrossLeaves) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -15,6 +17,7 @@
 #include "columnar/table.h"
 #include "ingest/row_generator.h"
 #include "query/executor.h"
+#include "query/result_digest.h"
 #include "util/thread_pool.h"
 
 namespace scuba {
@@ -63,10 +66,11 @@ class QueryFuzzer {
     if (Chance(0.25)) q.time_bucket_seconds = Pick<int64_t>({10, 60, 300});
     int num_preds = static_cast<int>(Int(0, 3));
     for (int i = 0; i < num_preds; ++i) q.predicates.push_back(RandPredicate());
-    int num_groups = static_cast<int>(Int(0, 2));
+    int num_groups = static_cast<int>(Int(0, 3));
     for (int i = 0; i < num_groups; ++i) {
-      q.group_by.push_back(
-          Pick<std::string>({"service", "host", "status", "endpoint"}));
+      q.group_by.push_back(Pick<std::string>(
+          {"service", "host", "status", "endpoint", "latency_ms", "bytes_out",
+           "error_msg"}));
     }
     q.aggregates.push_back(Count());
     int extra_aggs = static_cast<int>(Int(0, 2));
@@ -275,39 +279,142 @@ TEST_F(VectorizedDiffTest, HandWrittenEdgeQueries) {
   EXPECT_FALSE(DiffOne(bad, "string_aggregate"));
 }
 
-TEST_F(VectorizedDiffTest, SignedZeroGroupKeysStayDistinct) {
-  // -0.0 and 0.0 compare equal but are distinct group keys (bit-pattern
-  // hashing) — in the scalar engine, the vectorized one, and under a pool.
-  Table table("zeros");
-  std::vector<Row> rows;
-  for (int i = 0; i < 40; ++i) {
-    Row row;
-    row.SetTime(1000 + i);
-    row.Set("delta", (i % 2 == 0) ? 0.0 : -0.0);
-    rows.push_back(std::move(row));
+// Group-by results pinned bit for bit: each digest was recorded from the
+// engine that built a Value key per matched row, so any regrouping scheme
+// must reproduce every key and every aggregate's bit pattern, serial and
+// pooled.
+TEST_F(VectorizedDiffTest, GroupingDigestsArePinned) {
+  const int64_t buffer_begin = table_->write_buffer().min_time();
+  auto shape = [](std::vector<std::string> group_by,
+                  std::vector<Aggregate> aggregates) {
+    Query q;
+    q.table = "service_logs";
+    q.group_by = std::move(group_by);
+    q.aggregates = std::move(aggregates);
+    return q;
+  };
+  struct Pin {
+    const char* name;
+    Query query;
+    uint32_t digest;
+  };
+  std::vector<Pin> pins;
+  pins.push_back({"dict_key",
+                  shape({"service"},
+                        {Count(), Avg("latency_ms"), P99("latency_ms")}),
+                  1267104836u});
+  {
+    Query q = shape({"endpoint"}, {Count(), P99("latency_ms")});
+    q.begin_time = buffer_begin;
+    pins.push_back({"buffered_endpoint", q, 2560089185u});
   }
-  ASSERT_TRUE(table.AddRows(rows, 0).ok());
-  ASSERT_TRUE(table.SealWriteBuffer(0).ok());
+  {
+    Query q = shape({"endpoint"}, {Count(), Sum("latency_ms")});
+    q.begin_time = buffer_begin;
+    q.predicates = {
+        {"service", CompareOp::kEq, Value(std::string("svc_3"))}};
+    pins.push_back({"buffered_string_eq", q, 1512770285u});
+  }
+  pins.push_back(
+      {"status",
+       shape({"status"}, {Count(), Sum("bytes_out"), Min("latency_ms")}),
+       2366244016u});
+  pins.push_back({"latency",
+                  shape({"latency_ms"}, {Count(), Sum("bytes_out")}),
+                  2919089952u});
+  pins.push_back({"two_keys",
+                  shape({"service", "status"},
+                        {Count(), Avg("latency_ms"), Max("latency_ms")}),
+                  1813638124u});
+  {
+    Query q = shape({"endpoint"}, {Count(), Sum("latency_ms")});
+    q.time_bucket_seconds = 60;
+    pins.push_back({"bucket_key", q, 2270357559u});
+  }
+  {
+    Query q = shape({}, {Count(), Avg("latency_ms"), P50("latency_ms")});
+    q.time_bucket_seconds = 10;
+    pins.push_back({"bucket_alone", q, 929990616u});
+  }
+  pins.push_back({"no_key",
+                  shape({}, {Count(), Sum("latency_ms"), Min("latency_ms"),
+                             Max("latency_ms"), Avg("bytes_out"),
+                             P99("latency_ms")}),
+                  2571091332u});
+  pins.push_back({"three_keys_hashed",
+                  shape({"host", "latency_ms", "status"},
+                        {Count(), Sum("bytes_out"), Avg("latency_ms")}),
+                  436562925u});
+  {
+    Query q = shape({"error_msg"}, {Count(), Sum("latency_ms")});
+    q.predicates = {
+        {"endpoint", CompareOp::kContains, Value(std::string("endpoint_1"))}};
+    pins.push_back({"sparse_key_contains", q, 3733477865u});
+  }
 
-  Query q;
-  q.table = "zeros";
-  q.group_by = {"delta"};
-  q.aggregates = {Count()};
-
-  auto scalar = LeafExecutor::ExecuteScalar(table, q);
-  auto vec1 = LeafExecutor::Execute(table, q);
   LeafExecutor::ExecOptions pooled;
   pooled.pool = &pool_;
-  auto vecN = LeafExecutor::Execute(table, q, pooled);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_TRUE(vec1.ok());
-  ASSERT_TRUE(vecN.ok());
-  EXPECT_EQ(scalar->num_groups(), 2u);
-  EXPECT_EQ(vec1->num_groups(), 2u);
-  EXPECT_EQ(vecN->num_groups(), 2u);
-  for (auto* result : {&*scalar, &*vec1, &*vecN}) {
-    for (const ResultRow& row : result->Finalize(q.aggregates)) {
-      EXPECT_EQ(row.aggregates[0], 20.0);
+  for (const Pin& pin : pins) {
+    auto vec1 = LeafExecutor::Execute(*table_, pin.query);
+    auto vecN = LeafExecutor::Execute(*table_, pin.query, pooled);
+    ASSERT_TRUE(vec1.ok()) << pin.name << ": " << vec1.status().ToString();
+    ASSERT_TRUE(vecN.ok()) << pin.name << ": " << vecN.status().ToString();
+    EXPECT_GT(vec1->rows_matched, 0u) << pin.name;
+    EXPECT_EQ(ResultDigest(*vec1, pin.query.aggregates), pin.digest)
+        << pin.name;
+    EXPECT_EQ(ResultDigest(*vecN, pin.query.aggregates), pin.digest)
+        << pin.name;
+  }
+}
+
+TEST_F(VectorizedDiffTest, SignedZeroGroupKeysStayDistinct) {
+  // -0.0 and 0.0 compare equal, and NaNs compare unequal to everything, but
+  // group keys compare by bit pattern: four distinct groups in the scalar
+  // engine, the vectorized one and under a pool, sealed or still buffered.
+  const double nan_a = std::bit_cast<double>(uint64_t{0x7ff8000000000001});
+  const double nan_b = std::bit_cast<double>(uint64_t{0x7ff8000000000002});
+  const double keys[] = {0.0, -0.0, nan_a, nan_b};
+  std::vector<uint64_t> want;
+  for (double k : keys) want.push_back(std::bit_cast<uint64_t>(k));
+  std::sort(want.begin(), want.end());
+  for (bool sealed : {true, false}) {
+    SCOPED_TRACE(sealed ? "sealed" : "buffered");
+    Table table("zeros");
+    std::vector<Row> rows;
+    for (int i = 0; i < 40; ++i) {
+      Row row;
+      row.SetTime(1000 + i);
+      row.Set("delta", keys[i % 4]);
+      rows.push_back(std::move(row));
+    }
+    ASSERT_TRUE(table.AddRows(rows, 0).ok());
+    if (sealed) {
+      ASSERT_TRUE(table.SealWriteBuffer(0).ok());
+    }
+
+    Query q;
+    q.table = "zeros";
+    q.group_by = {"delta"};
+    q.aggregates = {Count()};
+
+    auto scalar = LeafExecutor::ExecuteScalar(table, q);
+    auto vec1 = LeafExecutor::Execute(table, q);
+    LeafExecutor::ExecOptions pooled;
+    pooled.pool = &pool_;
+    auto vecN = LeafExecutor::Execute(table, q, pooled);
+    ASSERT_TRUE(scalar.ok());
+    ASSERT_TRUE(vec1.ok());
+    ASSERT_TRUE(vecN.ok());
+    for (auto* result : {&*scalar, &*vec1, &*vecN}) {
+      EXPECT_EQ(result->num_groups(), 4u);
+      std::vector<uint64_t> bits;
+      for (const ResultRow& row : result->Finalize(q.aggregates)) {
+        bits.push_back(
+            std::bit_cast<uint64_t>(std::get<double>(row.group_key[0])));
+        EXPECT_EQ(row.aggregates[0], 10.0);
+      }
+      std::sort(bits.begin(), bits.end());
+      EXPECT_EQ(bits, want);
     }
   }
 }
