@@ -198,7 +198,7 @@ print(f"instant restore OK: {len(digest_keys)} digests identical, "
 PYEOF
 
 echo
-echo "=== Self-stats smoke: __scuba_stats restart rows survive a rollover ==="
+echo "=== Self-stats smoke: __scuba_restarts rows survive a rollover ==="
 cmake --build build-release -j "${JOBS}" --target selfstats_rollover
 ./build-release/examples/selfstats_rollover
 
@@ -231,7 +231,7 @@ cmake --build build-tsan -j "${JOBS}" \
   --target util_test shm_test disk_test core_test query_test server_test \
   obs_test load_test
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'Crc32c|ThreadPool|ParallelFor|ByteBudget|ParallelCopy|ShutdownRestore|Shm|TableSegment|LeafMetadata|ParallelScan|VectorizedDiff|Aggregator|ObsMetrics|ObsTracer|RestartTrace|RestartHeartbeat|StatsExporter|SelfStats|QueryTrace|SlowQueryLog|ProfileDeterminism|PackedKernelFuzz|PackedScan|ResultCache|InstantRestore|SloTracker|Admission|LoadDriver|SnapshotDelta|FlightRecorder|Autopsy|RestartsTable|Hysteresis|AlertEngine|HealthMonitor|AlertsTable|RestartManager|BackupRoundTrip|ColumnarBackup|ColumnarLeaf|RoundTripProperty|LeafServer'
+  -R 'Crc32c|ThreadPool|ParallelFor|ByteBudget|ParallelCopy|ShutdownRestore|Shm|TableSegment|LeafMetadata|ParallelScan|VectorizedDiff|Aggregator|ObsMetrics|ObsTracer|RestartTrace|RestartHeartbeat|StatsExporter|SelfStats|QueryTrace|SlowQueryLog|ProfileDeterminism|PackedKernelFuzz|PackedScan|ResultCache|InstantRestore|SloTracker|Admission|LoadDriver|SnapshotDelta|FlightRecorder|Autopsy|RestartsTable|Hysteresis|AlertEngine|HealthMonitor|AlertsTable|RestartManager|BackupRoundTrip|ColumnarBackup|ColumnarLeaf|RoundTripProperty|LeafServer|RestartEvents'
 
 echo
 echo "=== OK ==="

@@ -1,12 +1,12 @@
 // "Scuba monitors Scuba": the cluster's own restart history lives in the
-// reserved __scuba_stats table on every leaf, queryable through the normal
-// aggregator fan-out — and because the table rides the shared-memory
-// handoff, a rolling upgrade does not erase it. This demo (and CI smoke)
-// proves the loop end to end:
+// reserved __scuba_restarts table on every leaf, queryable through the
+// normal aggregator fan-out — and because the table rides the
+// shared-memory handoff, a rolling upgrade does not erase it. This demo
+// (and CI smoke) proves the loop end to end:
 //
 //   1. start a mini-cluster with self-stats on; every leaf writes a
-//      generation-1 "alive" restart row,
-//   2. query restart-phase rows through the aggregator (non-zero BEFORE),
+//      generation-1 restore row,
+//   2. query the restart rows through the aggregator (non-zero BEFORE),
 //   3. roll the cluster through shared memory, with the heartbeat-fed
 //      dashboard view,
 //   4. query again: the generation-1 rows are still there, joined by
@@ -30,9 +30,7 @@ namespace {
 
 double CountRestartRows(Aggregator& aggregator) {
   Query q;
-  q.table = obs::kStatsTableName;
-  q.predicates.push_back(
-      {"kind", CompareOp::kEq, Value(std::string("restart"))});
+  q.table = obs::kRestartsTableName;
   q.aggregates = {Count()};
   auto result = aggregator.Execute(q);
   if (!result.ok()) {
@@ -64,7 +62,7 @@ int Run() {
   if (!pumped.ok() || *pumped != 4000) return 1;
 
   double before = CountRestartRows(cluster.aggregator());
-  std::printf("restart-phase rows in __scuba_stats before rollover: %.0f\n",
+  std::printf("restart rows in __scuba_restarts before rollover: %.0f\n",
               before);
   if (before <= 0) {
     std::fprintf(stderr, "FAIL: no restart rows before rollover\n");
@@ -87,7 +85,7 @@ int Run() {
   }
 
   double after = CountRestartRows(cluster.aggregator());
-  std::printf("restart-phase rows in __scuba_stats after rollover:  %.0f\n",
+  std::printf("restart rows in __scuba_restarts after rollover:  %.0f\n",
               after);
   if (after <= before) {
     std::fprintf(stderr,

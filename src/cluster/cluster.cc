@@ -116,7 +116,8 @@ Status Cluster::Start() {
     eopts.sink = [this](Row row) -> Status {
       for (auto& leaf : leaves_) {
         if (leaf->stats_exporter() != nullptr && leaf->IsAlive()) {
-          return leaf->stats_exporter()->ExportAlertRow(std::move(row));
+          return leaf->stats_exporter()->ExportSystemRow(
+              obs::kAlertsTableName, std::move(row));
         }
       }
       return Status::Unavailable("no live leaf exporter for __scuba_alerts");
@@ -214,16 +215,11 @@ Status Cluster::MonitoredShutdown(
       // The watchdog's verdict goes into the leaf's own flight-recorder
       // ring: the successor's autopsy then shows WHO cancelled and why,
       // not just that the copy stopped.
-      if (FlightRecorder* recorder = old_leaf->flight_recorder()) {
-        recorder->Record(
-            FlightRecorder::EventType::kStall, last.phase,
-            RestartPhaseName(last.phase),
-            static_cast<uint64_t>(RestartHeartbeat::MonotonicMicros() -
-                                  last_advance_micros),
-            last.bytes_copied);
-        recorder->Record(FlightRecorder::EventType::kCancel, last.phase,
-                         "watchdog: heartbeat stall");
-      }
+      const RestartEvents events = old_leaf->restart_events();
+      events.Stall(last.phase,
+                   RestartHeartbeat::MonotonicMicros() - last_advance_micros,
+                   last.bytes_copied);
+      events.Cancel(last.phase, "watchdog: heartbeat stall");
       old_leaf->RequestShutdownCancel();
       cancelled = true;
       ++report->heartbeat_stall_cancels;

@@ -483,6 +483,7 @@ InstantRestoreEngine::InstantRestoreEngine(
       options_(std::move(options)),
       adopt_(std::move(adopt)),
       done_(std::move(done)),
+      phase_(RestorePhase(source_->recovery_source())),
       budget_(AutoBudget(options_, source_->units())),
       bitmap_(source_->units().size()) {
   const std::vector<RestoreUnit>& units = source_->units();
@@ -511,16 +512,9 @@ void InstantRestoreEngine::Launch(size_t spawn) {
   }
   RestoreMetrics::Get().operations->Add(1);
   started_micros_ = RealClock::Get()->NowMicros();
-  if (options_.heartbeat != nullptr) {
-    options_.heartbeat->SetBlocksTotal(source_->units().size());
-  }
-  if (options_.flight_recorder != nullptr) {
-    options_.flight_recorder->Record(
-        FlightRecorder::EventType::kRestore, RestartPhase::kCopyIn,
-        "engine start: " +
-            std::string(RecoverySourceName(source_->recovery_source())),
-        0, source_->units().size());
-  }
+  options_.events.RestoreBegin(phase_,
+                               RecoverySourceName(source_->recovery_source()),
+                               source_->units().size());
   workers_.reserve(spawn);
   for (size_t t = 0; t < spawn; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -591,11 +585,8 @@ void InstantRestoreEngine::NoteClaimedLocked(size_t u) {
   const size_t t = source_->units()[u].table_index;
   if (table_begun_[t] != 0) return;
   table_begun_[t] = 1;
-  if (options_.flight_recorder != nullptr) {
-    options_.flight_recorder->Record(
-        FlightRecorder::EventType::kTableCopyBegin, RestartPhase::kCopyIn,
-        source_->tables()[t].name, 0, table_units_[t].size());
-  }
+  options_.events.TableBegin(phase_, source_->tables()[t].name, 0,
+                             table_units_[t].size());
 }
 
 void InstantRestoreEngine::FailLocked(size_t u, Status status) {
@@ -682,21 +673,15 @@ void InstantRestoreEngine::WorkerLoop() {
       metrics.bytes->Add(unit.bytes);
       metrics.verify_micros->Add(static_cast<uint64_t>(verify_micros));
       metrics.block_bytes->Record(unit.bytes);
-      if (options_.heartbeat != nullptr) {
-        options_.heartbeat->AddBytesCopied(unit.bytes);
-        options_.heartbeat->AddBlockRestored(on_demand);
-        size_t bucket = RestoreBitmap::BucketOf(
-            u, units.size(), RestartHeartbeat::kBitmapBuckets);
-        if (--bucket_remaining_[bucket] == 0) {
-          options_.heartbeat->OrRestoreBitmap(1ull << bucket);
-        }
-      }
-      if (--table_remaining_[unit.table_index] == 0 &&
-          options_.flight_recorder != nullptr) {
-        options_.flight_recorder->Record(
-            FlightRecorder::EventType::kTableCopyEnd, RestartPhase::kCopyIn,
-            source_->tables()[unit.table_index].name, 0,
-            table_units_[unit.table_index].size());
+      const size_t bucket = RestoreBitmap::BucketOf(
+          u, units.size(), RestartHeartbeat::kBitmapBuckets);
+      const uint64_t completed_bits =
+          --bucket_remaining_[bucket] == 0 ? 1ull << bucket : 0;
+      options_.events.BlockRestored(unit.bytes, on_demand, completed_bits);
+      if (--table_remaining_[unit.table_index] == 0) {
+        options_.events.TableEnd(phase_,
+                                 source_->tables()[unit.table_index].name, 0,
+                                 table_units_[unit.table_index].size());
       }
       const RestoreSource::Drained drained = source_->UnitDrained(u);
       if (options_.footprint != nullptr) {
@@ -741,12 +726,8 @@ void InstantRestoreEngine::FinishOnLastWorker() {
   Status result;
   if (was_cancelled) {
     if (err.ok()) err = Status::Internal("restore cancelled");
-    if (options_.flight_recorder != nullptr) {
-      options_.flight_recorder->Record(FlightRecorder::EventType::kCancel,
-                                       RestartPhase::kCopyIn, err.ToString(),
-                                       done_count_,
-                                       source_->units().size());
-    }
+    options_.events.Cancel(phase_, err.ToString(), done_count_,
+                           source_->units().size());
     source_->Abandon();
     result = err;
   } else {
@@ -769,11 +750,7 @@ void InstantRestoreEngine::FinishOnLastWorker() {
                << " copy threads), checksums "
                << stats_.verify_micros / 1000 << " ms (crc32c "
                << crc32c::ActivePathName() << ")";
-    if (options_.flight_recorder != nullptr) {
-      options_.flight_recorder->Record(FlightRecorder::EventType::kRestore,
-                                       RestartPhase::kCopyIn, "engine done",
-                                       done_count_, source_->units().size());
-    }
+    options_.events.RestoreEnd(phase_, done_count_, source_->units().size());
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -824,12 +801,8 @@ void InstantRestoreEngine::Cancel() {
   if (finished_ || cancelled_) return;
   cancelled_ = true;
   ReleaseAllBudgetLocked();
-  if (options_.flight_recorder != nullptr) {
-    options_.flight_recorder->Record(FlightRecorder::EventType::kCancel,
-                                     RestartPhase::kCopyIn,
-                                     "restore cancel requested", done_count_,
-                                     source_->units().size());
-  }
+  options_.events.Cancel(phase_, "restore cancel requested", done_count_,
+                         source_->units().size());
   done_cv_.notify_all();
 }
 

@@ -16,9 +16,8 @@
 #include "columnar/row.h"
 #include "columnar/row_block.h"
 #include "core/footprint.h"
+#include "core/restart_events.h"
 #include "core/restore.h"
-#include "shm/flight_recorder.h"
-#include "shm/restart_heartbeat.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -242,10 +241,10 @@ class InstantRestoreEngine {
     size_t num_copy_threads = 1;
     /// 0 = auto: num_copy_threads x the largest unit payload.
     uint64_t max_in_flight_bytes = 0;
-    RestartHeartbeat* heartbeat = nullptr;
-    /// Optional crash-surviving flight recorder: the engine appends its
-    /// start/finish/cancel decisions and per-table copy begin/end.
-    FlightRecorder* flight_recorder = nullptr;
+    /// Restart-step reporting: the engine's start/finish/cancel decisions,
+    /// per-table copy begin/end and per-unit byte and block progress, each
+    /// stamped with the phase its source published (RestorePhase).
+    RestartEvents events;
     /// Optional heap+source byte counter (§4.4): each unit's payload is
     /// added when it loads, and the source bytes UnitDrained frees are
     /// subtracted.
@@ -342,6 +341,8 @@ class InstantRestoreEngine {
   Options options_;
   AdoptFn adopt_;
   DoneFn done_;
+  /// The phase the source was opened in; stamps every reported step.
+  RestartPhase phase_;
 
   ByteBudget budget_;
   int64_t started_micros_ = 0;
@@ -372,7 +373,7 @@ class InstantRestoreEngine {
   /// Units per table, in unit order (slot order), for EnsureAvailable.
   std::vector<std::vector<size_t>> table_units_;
   /// Units per table not yet adopted / whether its copy began, for the
-  /// flight recorder's per-table begin/end events.
+  /// per-table copy begin/end events.
   std::vector<size_t> table_remaining_;
   std::vector<uint8_t> table_begun_;
   /// Remaining-units-per-coarse-bucket for the heartbeat bitmap.

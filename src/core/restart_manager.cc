@@ -46,8 +46,6 @@ RestartManager::RestartManager(RestartConfig config)
   config_.shutdown.namespace_prefix = config_.namespace_prefix;
   config_.shutdown.leaf_id = config_.leaf_id;
   config_.shutdown.num_copy_threads = config_.num_copy_threads;
-  config_.shutdown.heartbeat = config_.heartbeat;
-  config_.shutdown.flight_recorder = config_.flight_recorder;
 }
 
 size_t RestartManager::ScrubSharedMemory() {
@@ -59,16 +57,14 @@ InstantRestoreEngine::Options RestartManager::EngineOptions() const {
   InstantRestoreEngine::Options options;
   options.num_copy_threads = config_.num_copy_threads;
   options.max_in_flight_bytes = config_.restore.max_in_flight_bytes;
-  options.heartbeat = config_.heartbeat;
-  options.flight_recorder = config_.flight_recorder;
+  options.events = config_.events;
   return options;
 }
 
 StatusOr<std::unique_ptr<RestoreSource>> RestartManager::OpenSource(
     int64_t now, RecoveryResult* result, obs::PhaseTracer* tracer,
     const ColsCuts& cols_cuts) {
-  RestartHeartbeat* heartbeat = config_.heartbeat;
-  FlightRecorder* recorder = config_.flight_recorder;
+  const RestartEvents& events = config_.events;
   std::unique_ptr<RestoreSource> source;
   if (!config_.memory_recovery_enabled) {
     // Fig 5b "memory recovery disabled": free any shared memory in use.
@@ -81,11 +77,7 @@ StatusOr<std::unique_ptr<RestoreSource>> RestartManager::OpenSource(
     // Opens immediately so the existence probe does not show up as a hole
     // at the front of the timeline.
     obs::PhaseTracer::Span open_span(tracer, "open_metadata");
-    if (heartbeat != nullptr) heartbeat->SetPhase(RestartPhase::kOpenMetadata);
-    if (recorder != nullptr) {
-      recorder->Record(FlightRecorder::EventType::kPhase,
-                       RestartPhase::kOpenMetadata, "");
-    }
+    events.EnterPhase(RestartPhase::kOpenMetadata);
     auto shm_or = OpenShmRestoreSource(config_.namespace_prefix,
                                        config_.leaf_id,
                                        config_.restore.verify_checksums);
@@ -98,11 +90,8 @@ StatusOr<std::unique_ptr<RestoreSource>> RestartManager::OpenSource(
         SCUBA_WARN << "leaf " << config_.leaf_id
                    << ": memory recovery unavailable ("
                    << shm_or.status().ToString() << "); recovering from disk";
-        if (recorder != nullptr) {
-          recorder->Record(FlightRecorder::EventType::kFallback,
-                           RestartPhase::kOpenMetadata,
-                           "shm->disk: " + shm_or.status().ToString());
-        }
+        events.Fallback(RestartPhase::kOpenMetadata,
+                        "shm->disk: " + shm_or.status().ToString());
       }
       // The open already scrubbed what it could; again defensively
       // (idempotent).
@@ -123,19 +112,9 @@ StatusOr<std::unique_ptr<RestoreSource>> RestartManager::OpenSource(
             : OpenBakRestoreSource(config_.backup_dir, throttle, now));
   }
 
-  const RestartPhase phase =
-      source->recovery_source() == RecoverySource::kSharedMemory
-          ? RestartPhase::kCopyIn
-          : RestartPhase::kDiskRecover;
-  if (heartbeat != nullptr) {
-    heartbeat->SetBytesTotal(source->total_bytes());
-    heartbeat->SetPhase(phase);
-  }
-  if (recorder != nullptr) {
-    recorder->Record(FlightRecorder::EventType::kPhase, phase,
-                     RecoverySourceName(source->recovery_source()),
-                     source->total_bytes(), source->units().size());
-  }
+  events.EnterCopyPhase(RestorePhase(source->recovery_source()),
+                        source->total_bytes(), source->units().size(),
+                        RecoverySourceName(source->recovery_source()));
   return source;
 }
 
@@ -151,14 +130,7 @@ StatusOr<RecoveryResult> RestartManager::Recover(LeafMap* leaf_map,
                                  ? config_.restore.tracer
                                  : &own_tracer;
   auto fail = [&](Status s) {
-    if (config_.heartbeat != nullptr) {
-      config_.heartbeat->SetPhase(RestartPhase::kFailed);
-    }
-    if (config_.flight_recorder != nullptr) {
-      config_.flight_recorder->Record(FlightRecorder::EventType::kError,
-                                      RestartPhase::kDiskRecover,
-                                      s.ToString());
-    }
+    config_.events.Fail(s.ToString());
     return s;
   };
 
@@ -235,11 +207,8 @@ StatusOr<RecoveryResult> RestartManager::Recover(LeafMap* leaf_map,
       SCUBA_WARN << "leaf " << config_.leaf_id << ": "
                  << result.shm_attempt_status.ToString()
                  << "; falling back to disk";
-      if (config_.flight_recorder != nullptr) {
-        config_.flight_recorder->Record(
-            FlightRecorder::EventType::kFallback, RestartPhase::kCopyIn,
-            "shm->disk: " + s.ToString());
-      }
+      config_.events.Fallback(RestartPhase::kCopyIn,
+                              "shm->disk: " + s.ToString());
       ScrubSharedMemory();
       continue;
     }
@@ -316,6 +285,7 @@ Status RestartManager::Shutdown(LeafMap* leaf_map, ShutdownStats* stats,
   obs::PhaseTracer tracer;
   ShutdownOptions shutdown_options = config_.shutdown;
   shutdown_options.tracer = &tracer;
+  shutdown_options.events = config_.events;
   Status s = ShutdownToShm(leaf_map, shutdown_options, stats, tracker);
   last_shutdown_trace_json_ = tracer.ToJson();
   std::ostringstream body;
@@ -330,7 +300,7 @@ Status RestartManager::Shutdown(LeafMap* leaf_map, ShutdownStats* stats,
 
 void RestartManager::WriteReport(const std::string& op,
                                  const std::string& body_json) {
-  if (!config_.dump_restart_report || config_.backup_dir.empty()) return;
+  if (config_.backup_dir.empty()) return;
   std::string path = config_.backup_dir + "/leaf_" +
                      std::to_string(config_.leaf_id) + "." + op +
                      "_report.json";

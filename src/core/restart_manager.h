@@ -8,6 +8,7 @@
 #include "columnar/leaf_map.h"
 #include "core/footprint.h"
 #include "core/instant_restore.h"
+#include "core/restart_events.h"
 #include "core/restore.h"
 #include "core/shutdown.h"
 #include "obs/trace.h"
@@ -68,26 +69,12 @@ struct RestartConfig {
   RestoreOptions restore;
   /// Shutdown-side knobs.
   ShutdownOptions shutdown;
-  /// Write a JSON restart report — the Fig 6/7 phase timeline, the op's
-  /// stats, and a cumulative metrics snapshot — into `backup_dir` after
-  /// every recovery ("leaf_<id>.recovery_report.json") and Shutdown
-  /// ("leaf_<id>.shutdown_report.json"). The shutdown artifact is the
-  /// durable sibling of the shm leaf-metadata block: the next process (or
-  /// an operator) can see exactly how the previous one went down. Partial
-  /// write failures log a warning and bump
-  /// scuba.core.restart.report_write_failures instead of failing the op.
-  /// Skipped silently when backup_dir is empty.
-  bool dump_restart_report = true;
-  /// Optional restart heartbeat (owned by the server for its process
-  /// lifetime): recovery publishes its open_metadata / copy_in /
-  /// disk_recover / failed phases and the engine's byte and block progress
-  /// through it; the constructor fans it into shutdown.heartbeat.
-  RestartHeartbeat* heartbeat = nullptr;
-  /// Optional crash-surviving flight recorder (owned by the server, like
-  /// the heartbeat): recovery records its phases, the engine's per-table
-  /// copy begin/end and shm->disk fallback decisions; the constructor fans
-  /// it into shutdown.flight_recorder.
-  FlightRecorder* flight_recorder = nullptr;
+  /// Restart-step reporting for both directions (the sinks are owned by
+  /// the server for its process lifetime): recovery's open_metadata /
+  /// copy_in / disk_recover / failed phases and shm->disk fallbacks, the
+  /// engine's progress, and the shutdown's copy steps. Default: reports
+  /// nothing.
+  RestartEvents events;
 };
 
 /// Result of a recovery.
@@ -106,6 +93,15 @@ struct RecoveryResult {
   /// format): shm spans (open_metadata/copy_in/destroy_metadata) or disk
   /// spans (disk_read/disk_translate), then expire.
   std::string trace_json;
+
+  /// The recovery's duration as the leaf reports it (stats, the
+  /// `__scuba_restarts` row): the engine's elapsed time for a shm restore,
+  /// disk read + translate for a backup, 0 for a fresh leaf.
+  int64_t TotalMicros() const {
+    return source == RecoverySource::kSharedMemory
+               ? shm_stats.elapsed_micros.load()
+               : disk_stats.read_micros + disk_stats.translate_micros;
+  }
 };
 
 /// Ties the restore sources together with the decision logic of Fig 5b /
@@ -131,8 +127,9 @@ class RestartManager {
   /// in this leaf's format. An shm failure scrubs shm and is recorded in
   /// result->shm_attempt_status; shm is tried only while that status is
   /// OK, so a retry goes straight to disk. `cols_cuts` cuts .cols tables
-  /// where an earlier attempt failed. Publishes the chosen phase and byte
-  /// total on the heartbeat. NotFound when there is nothing to restore.
+  /// where an earlier attempt failed. Enters the chosen source's phase
+  /// (RestorePhase) with its byte total. NotFound when there is nothing to
+  /// restore.
   StatusOr<std::unique_ptr<RestoreSource>> OpenSource(
       int64_t now, RecoveryResult* result, obs::PhaseTracer* tracer = nullptr,
       const ColsCuts& cols_cuts = {});
@@ -143,14 +140,18 @@ class RestartManager {
   /// Ends a recovery, blocking or instant: runs the deferred expiry over
   /// `leaf_map` (Fig 5: "deletions are made after recovery"), fills
   /// `result` from the finished `engine` (nullptr: nothing was restored),
-  /// and writes the recovery report with `tracer`'s timeline.
+  /// and writes the recovery report with `tracer`'s timeline into
+  /// `backup_dir` ("leaf_<id>.recovery_report.json").
   void FinishRecovery(const InstantRestoreEngine* engine, LeafMap* leaf_map,
                       int64_t now, obs::PhaseTracer* tracer,
                       RecoveryResult* result);
 
   /// Clean-shutdown backup into shared memory (Fig 6). On failure the
   /// valid bit stays false and the caller should exit anyway — the next
-  /// process will use the disk backup.
+  /// process will use the disk backup. Writes
+  /// "leaf_<id>.shutdown_report.json" into `backup_dir`: the durable
+  /// sibling of the shm leaf-metadata block, so the next process (or an
+  /// operator) can see exactly how this one went down.
   Status Shutdown(LeafMap* leaf_map, ShutdownStats* stats,
                   FootprintTracker* tracker = nullptr);
 
@@ -167,7 +168,10 @@ class RestartManager {
   }
 
  private:
-  /// Best-effort JSON report write; warns + counts failures.
+  /// Best-effort JSON report — the phase timeline, the op's stats and a
+  /// cumulative metrics snapshot. Skipped when backup_dir is empty; a
+  /// failed write warns and bumps scuba.core.restart.report_write_failures
+  /// instead of failing the op.
   void WriteReport(const std::string& op, const std::string& body_json);
 
   RestartConfig config_;

@@ -99,14 +99,8 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
 
   // Combined heap+shm accounting, shared by all copy workers.
   FootprintCounter footprint(leaf_map->TotalMemoryBytes(), tracker);
-
-  // External progress publication (§4.3 made observable): total first, so
-  // a watcher that sees copy_out can already render a percentage.
-  RestartHeartbeat* heartbeat = options.heartbeat;
-  if (heartbeat != nullptr) {
-    heartbeat->SetBytesTotal(leaf_map->TotalMemoryBytes());
-  }
-  FlightRecorder* recorder = options.flight_recorder;
+  // External progress publication (§4.3 made observable).
+  const RestartEvents& events = options.events;
 
   // Cooperative cancel: the first observer (an options.cancel flip or a
   // failed worker) sets `aborted`; everyone else drains fast.
@@ -127,11 +121,8 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
   // The copy-out phase: budget sizing, per-table layout reservation, the
   // column memcpy fan-out, and segment sealing all belong to it.
   obs::PhaseTracer::Span copy_span(tracer, "copy_out");
-  if (heartbeat != nullptr) heartbeat->SetPhase(RestartPhase::kCopyOut);
-  if (recorder != nullptr) {
-    recorder->Record(FlightRecorder::EventType::kPhase, RestartPhase::kCopyOut,
-                     "", leaf_map->TotalMemoryBytes(), table_names.size());
-  }
+  events.EnterCopyPhase(RestartPhase::kCopyOut, leaf_map->TotalMemoryBytes(),
+                        table_names.size());
 
   // In-flight budget: bytes copied to shm whose heap column has not been
   // freed yet. Serial mode needs none — the Fig 6 loop frees each column
@@ -178,11 +169,8 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
         std::make_unique<TableSegmentWriter>(std::move(writer)),
         table_names[t], table->num_row_blocks(), table_bytes});
     TableCopyJob& job = jobs.back();
-    if (recorder != nullptr) {
-      recorder->Record(FlightRecorder::EventType::kTableCopyBegin,
-                       RestartPhase::kCopyOut, job.table_name, table_bytes,
-                       job.num_blocks);
-    }
+    events.TableBegin(RestartPhase::kCopyOut, job.table_name, table_bytes,
+                      job.num_blocks);
     TableSegmentWriter* w = job.writer.get();
     footprint.Add(w->used_bytes());
 
@@ -216,7 +204,7 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
       // offsets, not pointers, make the buffer position-independent), then
       // delete it from the heap.
       auto copy_block = [w, block, offsets = std::move(offsets), &budget,
-                         &footprint, stats, &metrics, heartbeat, &cancelled,
+                         &footprint, stats, &metrics, &events, &cancelled,
                          &aborted, &options,
                          free_incrementally = options.free_incrementally] {
         // Cancel granularity is one row block: a watchdog kill lands here
@@ -236,7 +224,7 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
           metrics.columns->Add(1);
           metrics.bytes->Add(column_bytes);
           metrics.column_bytes->Record(column_bytes);
-          if (heartbeat != nullptr) heartbeat->AddBytesCopied(column_bytes);
+          events.BytesCopied(column_bytes);
           if (free_incrementally) {
             // Fig 6: delete row block column from heap.
             block->ReleaseColumn(c).reset();
@@ -253,11 +241,7 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
       } else {
         copy_block();
         if (aborted.load(std::memory_order_relaxed)) {
-          if (recorder != nullptr) {
-            recorder->Record(FlightRecorder::EventType::kCancel,
-                             RestartPhase::kCopyOut,
-                             "shutdown cancelled mid-copy");
-          }
+          events.Cancel(RestartPhase::kCopyOut, "shutdown cancelled mid-copy");
           return Status::Aborted("shutdown cancelled mid-copy");
         }
       }
@@ -280,11 +264,8 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
       }
       ++stats->tables_copied;
       metrics.tables->Add(1);
-      if (recorder != nullptr) {
-        recorder->Record(FlightRecorder::EventType::kTableCopyEnd,
-                         RestartPhase::kCopyOut, job.table_name,
-                         job.table_bytes, job.num_blocks);
-      }
+      events.TableEnd(RestartPhase::kCopyOut, job.table_name, job.table_bytes,
+                      job.num_blocks);
       // Unmap now, inside the table span: munmap's page-table teardown is
       // proportional to segment size and must not land after the timeline.
       job.writer.reset();
@@ -300,11 +281,7 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
       // A worker observed the cancel (or the flag flipped while draining):
       // segments are part-copied, so skip sealing — the valid bit stays
       // false and the successor disk-recovers.
-      if (recorder != nullptr) {
-        recorder->Record(FlightRecorder::EventType::kCancel,
-                         RestartPhase::kCopyOut,
-                         "shutdown cancelled mid-copy");
-      }
+      events.Cancel(RestartPhase::kCopyOut, "shutdown cancelled mid-copy");
       return Status::Aborted("shutdown cancelled mid-copy");
     }
     for (TableCopyJob& job : jobs) {
@@ -320,11 +297,8 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
       }
       ++stats->tables_copied;
       metrics.tables->Add(1);
-      if (recorder != nullptr) {
-        recorder->Record(FlightRecorder::EventType::kTableCopyEnd,
-                         RestartPhase::kCopyOut, job.table_name,
-                         job.table_bytes, job.num_blocks);
-      }
+      events.TableEnd(RestartPhase::kCopyOut, job.table_name, job.table_bytes,
+                      job.num_blocks);
       // As in serial mode: the size-proportional munmap belongs to the
       // drain, not to destructors running after the timeline closed.
       job.writer.reset();
@@ -347,20 +321,13 @@ Status ShutdownToShm(LeafMap* leaf_map, const ShutdownOptions& options,
   // Fig 6 final step: set valid bit to true. Everything before this point
   // leaves the valid bit false, so a failure or kill forces disk recovery.
   if (cancelled()) {
-    if (recorder != nullptr) {
-      recorder->Record(FlightRecorder::EventType::kCancel,
-                       RestartPhase::kCopyOut,
-                       "shutdown cancelled before set_valid");
-    }
+    events.Cancel(RestartPhase::kCopyOut,
+                  "shutdown cancelled before set_valid");
     return Status::Aborted("shutdown cancelled before set_valid");
   }
   obs::PhaseTracer::Span valid_span(tracer, "set_valid");
-  if (heartbeat != nullptr) heartbeat->SetPhase(RestartPhase::kSetValid);
-  if (recorder != nullptr) {
-    recorder->Record(FlightRecorder::EventType::kPhase,
-                     RestartPhase::kSetValid, "",
-                     stats->bytes_copied.load(std::memory_order_relaxed));
-  }
+  events.EnterPhase(RestartPhase::kSetValid, "",
+                    stats->bytes_copied.load(std::memory_order_relaxed));
   SCUBA_RETURN_IF_ERROR(meta.SetValid(true));
   valid_span.End();
 

@@ -8,9 +8,8 @@
 
 #include "columnar/leaf_map.h"
 #include "core/footprint.h"
+#include "core/restart_events.h"
 #include "obs/trace.h"
-#include "shm/flight_recorder.h"
-#include "shm/restart_heartbeat.h"
 #include "util/status.h"
 
 namespace scuba {
@@ -44,21 +43,18 @@ struct ShutdownOptions {
   /// root spans (seal_buffers, create_metadata, copy_out, set_valid) with
   /// per-table and segment_grow child spans. nullptr = tracing off.
   obs::PhaseTracer* tracer = nullptr;
-  /// Optional restart heartbeat: the copy loop publishes bytes_total, the
-  /// copy_out/set_valid phases, and per-block byte progress through it so
-  /// the shutdown is observable from OUTSIDE the process. nullptr = off.
-  RestartHeartbeat* heartbeat = nullptr;
+  /// Restart-step reporting to the leaf's heartbeat and flight recorder:
+  /// the copy_out/set_valid phases with the byte total, per-column byte
+  /// progress, per-table copy begin/end and cancel observations — so the
+  /// shutdown is observable from outside the process, and a successor can
+  /// autopsy one that never finished. Default: reports nothing.
+  RestartEvents events;
   /// Optional cooperative cancel, polled between row-block copies (both
   /// serial and parallel modes). When it reads true the shutdown stops,
   /// returns Aborted, and leaves the valid bit false — the phase-aware
   /// watchdog's targeted kill: the successor recovers from disk without
   /// waiting out the blunt 180 s timeout (§4.3).
   const std::atomic<bool>* cancel = nullptr;
-  /// Optional flight recorder: the copy loop appends phase transitions,
-  /// per-table copy begin/end (with bytes) and cancel observations to the
-  /// crash-surviving ring, so a successor can autopsy a shutdown that
-  /// never finished. nullptr = off.
-  FlightRecorder* flight_recorder = nullptr;
   /// Test hook invoked after every row-block copy, from whichever thread
   /// performed it. Fault injection uses it to freeze the copy loop and
   /// exercise heartbeat stall detection. nullptr = off.

@@ -135,7 +135,8 @@ class AlertEngine {
   using QueryFn =
       std::function<StatusOr<std::vector<ResultRow>>(const Query&)>;
   /// Receives one row per firing/clear transition (typically a leaf
-  /// StatsExporter's ExportAlertRow). May be empty (no alert table).
+  /// StatsExporter's ExportSystemRow into `__scuba_alerts`). May be empty
+  /// (no alert table).
   using AlertSink = std::function<Status(Row row)>;
 
   struct Options {

@@ -22,19 +22,13 @@ struct ExporterMetrics {
   Counter* cycles;
   Counter* rows;
   Counter* sink_failures;
-  Counter* query_rows;
-  Counter* restart_rows;
-  Counter* alert_rows;
 
   static ExporterMetrics& Get() {
     auto& reg = MetricsRegistry::Global();
     static ExporterMetrics m{
         reg.GetCounter("scuba.obs.stats_exporter.cycles"),
         reg.GetCounter("scuba.obs.stats_exporter.rows_exported"),
-        reg.GetCounter("scuba.obs.stats_exporter.sink_failures"),
-        reg.GetCounter("scuba.obs.stats_exporter.query_rows"),
-        reg.GetCounter("scuba.obs.stats_exporter.restart_rows"),
-        reg.GetCounter("scuba.obs.stats_exporter.alert_rows")};
+        reg.GetCounter("scuba.obs.stats_exporter.sink_failures")};
     return m;
   }
 };
@@ -191,7 +185,7 @@ Status StatsExporter::ExportOnce() {
   prev_stamp_millis_ = now_millis;
 
   if (!rows.empty()) {
-    Status s = sink_(options_.table_name, rows);
+    Status s = sink_(kStatsTableName, rows);
     if (!s.ok()) {
       em.sink_failures->Add(1);
       return s;
@@ -199,7 +193,7 @@ Status StatsExporter::ExportOnce() {
     em.rows->Add(rows.size());
   }
   if (!slo_rows.empty()) {
-    Status s = sink_(options_.slo_table_name, slo_rows);
+    Status s = sink_(kSloTableName, slo_rows);
     if (!s.ok()) {
       em.sink_failures->Add(1);
       return s;
@@ -263,28 +257,11 @@ void StatsExporter::AppendSloRows(const MetricsRegistry::RegistryDelta& delta,
   }
 }
 
-Status StatsExporter::ExportRestartEvent(std::string_view phase,
-                                         std::string_view detail,
-                                         int64_t duration_micros) {
-  Row row;
-  row.SetTime(NowUnixSeconds())
-      .Set("metric", std::string("scuba.server.restart"))
-      .Set("kind", std::string("restart"))
-      .Set("generation", static_cast<int64_t>(options_.generation))
-      .Set("leaf", static_cast<int64_t>(options_.leaf_id))
-      .Set("phase", std::string(phase))
-      .Set("detail", std::string(detail))
-      .Set("value", duration_micros);
-  Status s = sink_(options_.table_name, {row});
-  if (!s.ok()) {
-    ExporterMetrics::Get().sink_failures->Add(1);
-    return s;
+Status StatsExporter::ExportSystemRow(std::string_view table, Row row) {
+  if (!IsSystemTable(table)) {
+    return Status::InvalidArgument("'" + std::string(table) +
+                                   "' is not a system table");
   }
-  ExporterMetrics::Get().rows->Add(1);
-  return s;
-}
-
-Status StatsExporter::ExportRestartRow(Row row) {
   // Callers may stamp their own event time (the alert engine stamps the
   // evaluation instant); `Set` appends rather than replaces, so stamping
   // unconditionally would leave two "time" fields and desynchronize the
@@ -292,41 +269,13 @@ Status StatsExporter::ExportRestartRow(Row row) {
   if (!row.Time().has_value()) row.SetTime(NowUnixSeconds());
   row.Set("generation", static_cast<int64_t>(options_.generation))
       .Set("leaf", static_cast<int64_t>(options_.leaf_id));
-  Status s = sink_(options_.restarts_table_name, {row});
+  Status s = sink_(std::string(table), {row});
+  ExporterMetrics& em = ExporterMetrics::Get();
   if (!s.ok()) {
-    ExporterMetrics::Get().sink_failures->Add(1);
+    em.sink_failures->Add(1);
     return s;
   }
-  restart_rows_.fetch_add(1, std::memory_order_relaxed);
-  ExporterMetrics::Get().restart_rows->Add(1);
-  return s;
-}
-
-Status StatsExporter::ExportAlertRow(Row row) {
-  if (!row.Time().has_value()) row.SetTime(NowUnixSeconds());
-  row.Set("generation", static_cast<int64_t>(options_.generation))
-      .Set("leaf", static_cast<int64_t>(options_.leaf_id));
-  Status s = sink_(options_.alerts_table_name, {row});
-  if (!s.ok()) {
-    ExporterMetrics::Get().sink_failures->Add(1);
-    return s;
-  }
-  alert_rows_.fetch_add(1, std::memory_order_relaxed);
-  ExporterMetrics::Get().alert_rows->Add(1);
-  return s;
-}
-
-Status StatsExporter::ExportQueryRow(Row row) {
-  if (!row.Time().has_value()) row.SetTime(NowUnixSeconds());
-  row.Set("generation", static_cast<int64_t>(options_.generation))
-      .Set("leaf", static_cast<int64_t>(options_.leaf_id));
-  Status s = sink_(options_.query_table_name, {row});
-  if (!s.ok()) {
-    ExporterMetrics::Get().sink_failures->Add(1);
-    return s;
-  }
-  query_rows_.fetch_add(1, std::memory_order_relaxed);
-  ExporterMetrics::Get().query_rows->Add(1);
+  em.rows->Add(1);
   return s;
 }
 

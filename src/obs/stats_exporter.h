@@ -64,16 +64,6 @@ class SloTracker;
 
 /// Knobs for one leaf's stats exporter.
 struct StatsExporterOptions {
-  /// Target system table.
-  std::string table_name = kStatsTableName;
-  /// Target table for ExportQueryRow (the slow-query log).
-  std::string query_table_name = kQueriesTableName;
-  /// Target table for the per-cycle SLO window rows.
-  std::string slo_table_name = kSloTableName;
-  /// Target table for ExportRestartRow (the restart-history table).
-  std::string restarts_table_name = kRestartsTableName;
-  /// Target table for ExportAlertRow (the alert-transition table).
-  std::string alerts_table_name = kAlertsTableName;
   /// When set, every ExportOnce cycle also samples this tracker's
   /// cluster/table windows into `__scuba_slo` rows (scopes whose window is
   /// empty produce no row — zero traffic, zero rows). Not owned; must
@@ -137,55 +127,21 @@ class StatsExporter {
   void Stop();
 
   /// One delta cycle: snapshot the registry, diff against the previous
-  /// snapshot, append the resulting rows through the sink. Rows carry the
-  /// cycle timestamp, generation, and leaf id.
+  /// snapshot, append the resulting rows to `__scuba_stats` (and
+  /// `__scuba_slo`) through the sink. Rows carry the cycle timestamp,
+  /// generation, and leaf id.
   Status ExportOnce();
 
-  /// Appends one restart-event row (kind "restart"): the phase reached,
-  /// where the data came from, and how long it took. Written once after
-  /// recovery and once when shutdown begins, so the table holds a restart
-  /// history row per process generation transition.
-  Status ExportRestartEvent(std::string_view phase, std::string_view detail,
-                            int64_t duration_micros);
-
-  /// Appends one slow-query-log row to `__scuba_queries`, stamping the
-  /// cycle timestamp, generation, and leaf id onto the caller's columns
-  /// (fingerprint, latency, profile counters — the aggregator builds
-  /// those). The exporter's own query-log accounting lives under
-  /// scuba.obs.stats_exporter.* and is therefore excluded from export —
-  /// the same self-amplification break __scuba_stats relies on.
-  Status ExportQueryRow(Row row);
-
-  /// Appends one restart-history row to `__scuba_restarts`, stamping the
-  /// cycle timestamp, generation, and leaf id onto the caller's columns
-  /// (kind, path, outcome, per-phase micros, bytes — the leaf server
-  /// builds those from the autopsy and its own recovery result). Written
-  /// once per restart transition, NOT per export cycle, so the table's
-  /// width stays bounded by restart count.
-  Status ExportRestartRow(Row row);
-
-  /// Appends one alert-transition row to `__scuba_alerts`, stamping the
-  /// cycle timestamp, generation, and leaf id onto the caller's columns
-  /// (rule, severity, state, value, threshold — the AlertEngine builds
-  /// those). Written once per firing/clear TRANSITION, never per
-  /// evaluation cycle, so the table's width stays bounded by how often
-  /// the cluster's health actually changed.
-  Status ExportAlertRow(Row row);
-
-  /// Alert-transition rows exported so far (sink successes).
-  uint64_t alert_rows() const {
-    return alert_rows_.load(std::memory_order_relaxed);
-  }
-
-  /// Slow-query rows exported so far (sink successes).
-  uint64_t query_rows() const {
-    return query_rows_.load(std::memory_order_relaxed);
-  }
-
-  /// Restart-history rows exported so far (sink successes).
-  uint64_t restart_rows() const {
-    return restart_rows_.load(std::memory_order_relaxed);
-  }
+  /// Appends one event row to the system table `table` — the slow-query
+  /// log (`__scuba_queries`, rows built by the aggregator), the restart
+  /// history (`__scuba_restarts`, built by the leaf from its autopsy and
+  /// recovery result) or the alert transitions (`__scuba_alerts`, built by
+  /// the AlertEngine) — stamping the generation and leaf id, and the
+  /// current time unless the caller stamped its own event time. Callers
+  /// write once per event, never per export cycle, so each table's width
+  /// stays bounded by how often its events happen. InvalidArgument for a
+  /// table outside `__scuba*`: the sink inserts with no disk backup.
+  Status ExportSystemRow(std::string_view table, Row row);
 
   /// Completed export cycles (ExportOnce calls that reached the sink).
   uint64_t cycles() const { return cycles_.load(std::memory_order_relaxed); }
@@ -216,9 +172,6 @@ class StatsExporter {
   bool stopping_ = false;
 
   std::atomic<uint64_t> cycles_{0};
-  std::atomic<uint64_t> query_rows_{0};
-  std::atomic<uint64_t> restart_rows_{0};
-  std::atomic<uint64_t> alert_rows_{0};
 };
 
 }  // namespace obs

@@ -482,7 +482,7 @@ void Aggregator::RecordQueryStats(const Query& query,
     }
     row.Set("unavailable_detail", std::move(detail));
   }
-  if (exporter->ExportQueryRow(std::move(row)).ok()) {
+  if (exporter->ExportSystemRow(obs::kQueriesTableName, std::move(row)).ok()) {
     metrics.slow_queries_logged->Add(1);
   }
 }
@@ -513,7 +513,7 @@ void Aggregator::RecordShedQuery(const Query& query, uint64_t query_id,
       .Set("table", query.table)
       .Set("latency_micros", queue_wait_micros)
       .Set("shed", static_cast<int64_t>(1));
-  if (exporter->ExportQueryRow(std::move(row)).ok()) {
+  if (exporter->ExportSystemRow(obs::kQueriesTableName, std::move(row)).ok()) {
     AggregatorMetrics::Get().slow_queries_logged->Add(1);
   }
 }

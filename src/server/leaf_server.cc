@@ -68,11 +68,9 @@ std::optional<FlightRecorder> AttachRecorder(const LeafServerConfig& config) {
 }
 
 RestartConfig MakeRestartConfig(const LeafServerConfig& config,
-                                RestartHeartbeat* heartbeat,
-                                FlightRecorder* recorder) {
+                                RestartEvents events) {
   RestartConfig rc;
-  rc.heartbeat = heartbeat;
-  rc.flight_recorder = recorder;
+  rc.events = events;
   rc.namespace_prefix = config.namespace_prefix;
   rc.leaf_id = config.leaf_id;
   rc.backup_dir = config.backup_dir;
@@ -94,9 +92,9 @@ LeafServer::LeafServer(LeafServerConfig config)
       pred_heartbeat_(ReadPredecessorHeartbeat(config_)),
       heartbeat_(AttachHeartbeat(config_)),
       recorder_(AttachRecorder(config_)),
-      restart_manager_(MakeRestartConfig(
-          config_, heartbeat_.has_value() ? &*heartbeat_ : nullptr,
-          recorder_.has_value() ? &*recorder_ : nullptr)),
+      events_(heartbeat_.has_value() ? &*heartbeat_ : nullptr,
+              recorder_.has_value() ? &*recorder_ : nullptr),
+      restart_manager_(MakeRestartConfig(config_, events_)),
       backup_writer_(config_.backup_dir),
       columnar_writer_(config_.backup_dir) {
   if (config_.num_query_threads > 1) {
@@ -133,11 +131,7 @@ Clock* LeafServer::clock() const {
 Status LeafServer::TransitionLeaf(LeafState next) {
   LeafState old = leaf_state_.state();
   Status s = leaf_state_.Transition(next);
-  if (s.ok()) {
-    RecordFlight(FlightRecorder::EventType::kState, RestartPhase::kIdle,
-                 LeafStateName(next), static_cast<uint64_t>(next),
-                 static_cast<uint64_t>(old));
-  }
+  if (s.ok()) events_.State(next, old);
   return s;
 }
 
@@ -161,8 +155,7 @@ void LeafServer::BuildPredecessorAutopsy() {
                << ": flight-recorder drain failed: "
                << drained.status().ToString();
   }
-  recorder_->Record(FlightRecorder::EventType::kInfo, RestartPhase::kIdle,
-                    "process start");
+  events_.Info("process start");
 }
 
 StatusOr<RecoveryResult> LeafServer::Start() {
@@ -234,10 +227,9 @@ StatusOr<RecoveryResult> LeafServer::Start() {
       InstallSealObserver(leaf_map_.GetTable(name));
     }
 
-    if (heartbeat_.has_value()) heartbeat_->SetPhase(RestartPhase::kAlive);
-    RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kAlive,
-                 RecoverySourceName(last_recovery_.source),
-                 leaf_map_.TotalRowCount());
+    events_.EnterPhase(RestartPhase::kAlive,
+                       RecoverySourceName(last_recovery_.source),
+                       leaf_map_.TotalRowCount());
     SCUBA_INFO << "leaf " << config_.leaf_id << " alive ("
                << RecoverySourceName(last_recovery_.source) << " recovery, "
                << leaf_map_.TotalRowCount() << " rows)";
@@ -331,10 +323,9 @@ void LeafServer::OnInstantRestoreDone(Status engine_status) {
     restart_manager_.FinishRecovery(engine_.get(), &leaf_map_,
                                     clock()->NowUnixSeconds(),
                                     /*tracer=*/nullptr, &last_recovery_);
-    if (heartbeat_.has_value()) heartbeat_->SetPhase(RestartPhase::kAlive);
-    RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kAlive,
-                 RecoverySourceName(last_recovery_.source),
-                 leaf_map_.TotalRowCount());
+    events_.EnterPhase(RestartPhase::kAlive,
+                       RecoverySourceName(last_recovery_.source),
+                       leaf_map_.TotalRowCount());
     SCUBA_INFO << "leaf " << config_.leaf_id << " alive ("
                << RecoverySourceName(last_recovery_.source)
                << " instant restore, " << leaf_map_.TotalRowCount()
@@ -354,8 +345,8 @@ void LeafServer::OnInstantRestoreDone(Status engine_status) {
                << "); falling back to blocking disk recovery";
     leaf_map_.Clear();
     table_states_.clear();
-    RecordFlight(FlightRecorder::EventType::kFallback, RestartPhase::kCopyIn,
-                 "instant->blocking disk: " + engine_status.ToString());
+    events_.Fallback(RestorePhase(last_recovery_.source),
+                     "instant->blocking disk: " + engine_status.ToString());
     Status s = TransitionLeaf(LeafState::kDiskRecovery);
     if (s.ok()) {
       auto rec_or =
@@ -370,11 +361,8 @@ void LeafServer::OnInstantRestoreDone(Status engine_status) {
           if (s.ok()) s = ts_status;
           InstallSealObserver(leaf_map_.GetTable(name));
         }
-        if (heartbeat_.has_value()) {
-          heartbeat_->SetPhase(RestartPhase::kAlive);
-        }
-        RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kAlive,
-                     "disk fallback", leaf_map_.TotalRowCount());
+        events_.EnterPhase(RestartPhase::kAlive, "disk fallback",
+                           leaf_map_.TotalRowCount());
         start_self_stats = config_.self_stats_enabled && s.ok();
         SCUBA_INFO << "leaf " << config_.leaf_id
                    << " alive (disk fallback after cancelled instant "
@@ -386,11 +374,7 @@ void LeafServer::OnInstantRestoreDone(Status engine_status) {
     if (!s.ok()) {
       // Unrecoverable: the leaf stays in DISK_RECOVERY with no data —
       // the same terminal shape a failed blocking Start() leaves behind.
-      if (heartbeat_.has_value()) {
-        heartbeat_->SetPhase(RestartPhase::kFailed);
-      }
-      RecordFlight(FlightRecorder::EventType::kError, RestartPhase::kFailed,
-                   s.ToString());
+      events_.Fail(s.ToString());
       SCUBA_WARN << "leaf " << config_.leaf_id
                  << ": disk fallback failed: " << s.ToString();
     }
@@ -412,25 +396,15 @@ void LeafServer::StartSelfStats() {
         std::lock_guard<std::mutex> lock(mutex_);
         return AddRowsLocked(table, rows, /*system=*/true, IngestBatchMeta());
       });
-  // One restart-history row per process generation — this is what makes
-  // "how long did the last N restarts take, and from which source" a
-  // __scuba_stats query spanning generations — then an immediate export
-  // so the recovery metrics land before the first periodic tick.
-  int64_t recovery_micros =
-      last_recovery_.source == RecoverySource::kSharedMemory
-          ? last_recovery_.shm_stats.elapsed_micros.load()
-          : last_recovery_.disk_stats.read_micros +
-                last_recovery_.disk_stats.translate_micros;
-  (void)exporter_->ExportRestartEvent(
-      RestartPhaseName(RestartPhase::kAlive),
-      RecoverySourceName(last_recovery_.source), recovery_micros);
-
-  // `__scuba_restarts`: the restart-history table proper, one row per
-  // restart transition (never per export cycle — bounded width). Row one
-  // summarizes how the PREDECESSOR went down, from the autopsy; row two is
-  // this process's own recovery. outcome=crash-fallback marks the paper's
-  // §4.3 bad case: the predecessor did not exit cleanly and this process
-  // had to take the slow disk path.
+  // `__scuba_restarts`: the restart history, one row per restart
+  // transition (never per export cycle — bounded width), so "how long did
+  // the last N restarts take, and from which source" is a query spanning
+  // generations. Row one summarizes how the PREDECESSOR went down, from
+  // the autopsy; row two is this process's own recovery.
+  // outcome=crash-fallback marks the paper's §4.3 bad case: the
+  // predecessor did not exit cleanly and this process had to take the slow
+  // disk path. Then an immediate export, so the recovery metrics land
+  // before the first periodic tick.
   if (last_autopsy_.has_events) {
     Row row;
     row.Set("kind", std::string("shutdown"))
@@ -446,7 +420,7 @@ void LeafServer::StartSelfStats() {
         .Set("bytes", static_cast<int64_t>(last_autopsy_.bytes_copied))
         .Set("autopsy_events",
              static_cast<int64_t>(last_autopsy_.events.size()));
-    (void)exporter_->ExportRestartRow(std::move(row));
+    (void)exporter_->ExportSystemRow(obs::kRestartsTableName, std::move(row));
   }
   {
     std::string outcome = "ok";
@@ -467,12 +441,13 @@ void LeafServer::StartSelfStats() {
              static_cast<int64_t>(last_autopsy_.pred_generation))
         .Set("read_micros", last_recovery_.disk_stats.read_micros)
         .Set("translate_micros", last_recovery_.disk_stats.translate_micros)
-        .Set("total_micros", recovery_micros)
+        .Set("verify_micros", last_recovery_.shm_stats.verify_micros.load())
+        .Set("total_micros", last_recovery_.TotalMicros())
         .Set("bytes", static_cast<int64_t>(bytes))
         .Set("blocks_on_demand",
              static_cast<int64_t>(
                  last_recovery_.shm_stats.blocks_on_demand.load()));
-    (void)exporter_->ExportRestartRow(std::move(row));
+    (void)exporter_->ExportSystemRow(obs::kRestartsTableName, std::move(row));
   }
 
   (void)exporter_->ExportOnce();
@@ -756,15 +731,10 @@ bool LeafServer::WriteBufferOverlaps(const std::string& table, int64_t begin,
 Status LeafServer::ShutdownToSharedMemory(ShutdownStats* stats,
                                           FootprintTracker* tracker) {
   // Self-stats wind-down happens BEFORE taking mutex_: the exporter's sink
-  // inserts through it, so stopping under the lock would deadlock. One
-  // restart-history row marks the shutdown, then the final flush captures
-  // every delta since the last tick — all of it rides to the successor in
-  // the shm copy below.
-  if (exporter_ != nullptr) {
-    (void)exporter_->ExportRestartEvent(
-        RestartPhaseName(RestartPhase::kPrepare), "shutdown", 0);
-    exporter_->Stop();
-  }
+  // inserts through it, so stopping under the lock would deadlock. The
+  // final flush captures every delta since the last tick — all of it rides
+  // to the successor in the shm copy below.
+  if (exporter_ != nullptr) exporter_->Stop();
 
   std::lock_guard<std::mutex> lock(mutex_);
   int64_t now = clock()->NowUnixSeconds();
@@ -772,9 +742,8 @@ Status LeafServer::ShutdownToSharedMemory(ShutdownStats* stats,
   // Fig 5a: ALIVE -> COPY_TO_SHM. The mutex we hold IS the drain: no add,
   // query, or delete can be in flight past this point.
   SCUBA_RETURN_IF_ERROR(TransitionLeaf(LeafState::kCopyToShm));
-  if (heartbeat_.has_value()) heartbeat_->SetPhase(RestartPhase::kPrepare);
-  RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kPrepare, "",
-               leaf_map_.TotalMemoryBytes(), leaf_map_.TableNames().size());
+  events_.EnterPhase(RestartPhase::kPrepare, "", leaf_map_.TotalMemoryBytes(),
+                     leaf_map_.TableNames().size());
 
   // Fig 5c per-table PREPARE: reject new work (done via state), finish
   // in-flight work (mutex), seal buffers, flush data to disk.
@@ -800,8 +769,8 @@ Status LeafServer::ShutdownToSharedMemory(ShutdownStats* stats,
   // that silence is exactly what a stall monitor should observe.
   if (inject_shutdown_kill_) {
     inject_shutdown_kill_ = false;
-    RecordFlight(FlightRecorder::EventType::kCancel, RestartPhase::kPrepare,
-                 "shutdown killed by watchdog (injected)");
+    events_.Cancel(RestartPhase::kPrepare,
+                   "shutdown killed by watchdog (injected)");
     restart_manager_.ScrubSharedMemory();
     leaf_map_.Clear();
     table_states_.clear();
@@ -821,9 +790,7 @@ Status LeafServer::ShutdownToSharedMemory(ShutdownStats* stats,
     // the valid bit still false. Same aftermath as the injected kill —
     // scrub partial segments, drop state, exit; the successor
     // disk-recovers from the backups flushed above.
-    if (heartbeat_.has_value()) heartbeat_->SetPhase(RestartPhase::kFailed);
-    RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kFailed,
-                 s.ToString());
+    events_.Fail(s.ToString());
     restart_manager_.ScrubSharedMemory();
     leaf_map_.Clear();
     table_states_.clear();
@@ -838,9 +805,8 @@ Status LeafServer::ShutdownToSharedMemory(ShutdownStats* stats,
     }
   }
   SCUBA_RETURN_IF_ERROR(TransitionLeaf(LeafState::kExit));
-  if (heartbeat_.has_value()) heartbeat_->SetPhase(RestartPhase::kExited);
-  RecordFlight(FlightRecorder::EventType::kPhase, RestartPhase::kExited, "",
-               stats != nullptr ? stats->bytes_copied.load() : 0);
+  events_.EnterPhase(RestartPhase::kExited, "",
+                     stats != nullptr ? stats->bytes_copied.load() : 0);
   return Status::OK();
 }
 
@@ -854,8 +820,7 @@ void LeafServer::Crash() {
   std::lock_guard<std::mutex> lock(mutex_);
   // The one deliberate last word an unclean death gets to leave: real
   // crashes leave the ring mid-sentence, a simulated one says so.
-  RecordFlight(FlightRecorder::EventType::kError, RestartPhase::kIdle,
-               "simulated crash");
+  events_.Error("simulated crash");
   // A dead process answers nothing: from here every add and query gets
   // Unavailable, so aggregators report the leaf missing instead of
   // counting its empty map as a complete answer. Queries parked on the
@@ -876,11 +841,7 @@ LeafServer::Stats LeafServer::GetStats() const {
   stats.leaf_id = config_.leaf_id;
   stats.state = leaf_state_.state();
   stats.last_recovery_source = last_recovery_.source;
-  stats.last_recovery_micros =
-      last_recovery_.source == RecoverySource::kSharedMemory
-          ? last_recovery_.shm_stats.elapsed_micros.load()
-          : last_recovery_.disk_stats.read_micros +
-                last_recovery_.disk_stats.translate_micros;
+  stats.last_recovery_micros = last_recovery_.TotalMicros();
   stats.total_rows = leaf_map_.TotalRowCount();
   stats.memory_used_bytes = leaf_map_.TotalMemoryBytes();
   stats.memory_capacity_bytes = config_.memory_capacity_bytes;

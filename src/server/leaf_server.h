@@ -15,6 +15,7 @@
 #include "core/autopsy.h"
 #include "core/footprint.h"
 #include "core/instant_restore.h"
+#include "core/restart_events.h"
 #include "core/restart_manager.h"
 #include "core/state_machine.h"
 #include "disk/backup_writer.h"
@@ -91,8 +92,9 @@ struct LeafServerConfig {
   /// periodically collapses the process MetricsRegistry into rows of the
   /// reserved `__scuba_stats` table on this leaf — compressed, queryable
   /// through the normal leaf/aggregator path, and carried across restarts
-  /// by the shm handoff. Also writes one restart-history row per process
-  /// generation (recovery source + duration) and one when shutdown begins.
+  /// by the shm handoff. Also writes the restart history into
+  /// `__scuba_restarts`: one row for this process's recovery and, when the
+  /// flight recorder holds a predecessor, one for how it went down.
   bool self_stats_enabled = false;
   /// Export period for the self-stats background thread.
   int64_t self_stats_period_millis = 1000;
@@ -265,12 +267,17 @@ class LeafServer {
   obs::StatsExporter* stats_exporter() { return exporter_.get(); }
 
   /// The leaf's flight recorder, or nullptr when disabled or its shm
-  /// attach failed. The cluster watchdog appends its stall/cancel
-  /// decisions through this so they land in the same timeline the
-  /// successor's autopsy drains.
+  /// attach failed. The admission controller mirrors its shed decisions
+  /// into it.
   FlightRecorder* flight_recorder() {
     return recorder_.has_value() ? &*recorder_ : nullptr;
   }
+
+  /// The leaf's restart-step reporting (heartbeat + flight recorder). The
+  /// cluster watchdog reports its stall/cancel decisions through it, so
+  /// they land in the same timeline the successor's autopsy drains. Valid
+  /// while this leaf lives.
+  RestartEvents restart_events() const { return events_; }
 
   /// The postmortem of the PREDECESSOR process, synthesized by Start()
   /// from the drained flight-recorder ring cross-referenced with the last
@@ -356,15 +363,9 @@ class LeafServer {
                              const std::vector<Row>& rows, bool sealed,
                              int64_t seal_max_time,
                              const IngestBatchMeta& meta);
-  /// leaf_state_.Transition wrapper that also appends a kState event to
-  /// the flight recorder (a0 = new state, a1 = old). Callers hold mutex_.
+  /// leaf_state_.Transition wrapper that also reports the state change.
+  /// Callers hold mutex_.
   Status TransitionLeaf(LeafState next);
-  /// Appends one event to the flight recorder, if attached.
-  void RecordFlight(FlightRecorder::EventType type, RestartPhase phase,
-                    std::string_view detail, uint64_t a0 = 0,
-                    uint64_t a1 = 0) {
-    if (recorder_.has_value()) recorder_->Record(type, phase, detail, a0, a1);
-  }
   /// Drains the predecessor's flight-recorder events, builds the autopsy,
   /// and writes leaf_<id>.autopsy_report.json. Runs at the top of Start().
   void BuildPredecessorAutopsy();
@@ -391,17 +392,19 @@ class LeafServer {
   /// destroy the evidence the autopsy cross-references. An error status
   /// (NotFound, corrupt block) simply omits the cross-reference.
   StatusOr<RestartHeartbeat::Reading> pred_heartbeat_;
-  /// Declared before restart_manager_: the manager's config captures a
-  /// pointer to this block, so it must be attached first (and must outlive
-  /// the manager). Engaged only when config_.publish_restart_heartbeat and
-  /// the shm attach succeeded.
+  /// Declared before events_, which points at it: attached first, and
+  /// outlives every copy of events_ (the manager's and the engine's).
+  /// Engaged only when config_.publish_restart_heartbeat and the shm
+  /// attach succeeded.
   std::optional<RestartHeartbeat> heartbeat_;
   std::atomic<bool> shutdown_cancel_{false};
   std::function<void()> shutdown_block_hook_;
-  /// Declared before restart_manager_ for the same capture/outlive reason
-  /// as heartbeat_. Attach preserves the predecessor's ring contents; the
-  /// autopsy drains them in Start().
+  /// Declared before events_ for the same reason as heartbeat_. Attach
+  /// preserves the predecessor's ring contents; the autopsy drains them in
+  /// Start().
   std::optional<FlightRecorder> recorder_;
+  /// Every restart step this leaf reports goes through here.
+  RestartEvents events_;
   RestartManager restart_manager_;
   /// Scan workers shared by every query on this leaf (null when
   /// num_query_threads <= 1). Created once; queries run one at a time

@@ -49,9 +49,7 @@ class HeartbeatRolloverTest : public ::testing::Test {
 
   static Query RestartRowsQuery() {
     Query q;
-    q.table = obs::kStatsTableName;
-    q.predicates.push_back(
-        {"kind", CompareOp::kEq, Value(std::string("restart"))});
+    q.table = obs::kRestartsTableName;
     q.aggregates = {Count()};
     return q;
   }
@@ -151,7 +149,7 @@ TEST_F(HeartbeatRolloverTest, RestartHistorySurvivesRolloverViaAggregator) {
   Fill(&cluster);
 
   double before = CountOf(cluster.aggregator(), RestartRowsQuery());
-  // One "alive" restart row per leaf from generation 1.
+  // One restore row per leaf from generation 1.
   EXPECT_GE(before, 2.0);
 
   RealRolloverOptions options;
@@ -161,8 +159,8 @@ TEST_F(HeartbeatRolloverTest, RestartHistorySurvivesRolloverViaAggregator) {
   EXPECT_EQ(report->shm_recoveries, 2u);
 
   double after = CountOf(cluster.aggregator(), RestartRowsQuery());
-  // Generation 1's rows survived AND generation 2 added its own
-  // ("prepare" at shutdown + "alive" after recovery).
+  // Generation 1's rows survived AND generation 2 added its own (the
+  // predecessor's shutdown summary + its own restore row).
   EXPECT_GE(after, before + 2.0);
   cluster.Cleanup();
 }

@@ -158,7 +158,6 @@ TEST(RestartTraceTest, ManagerWritesReportArtifacts) {
   RestartConfig config;
   config.namespace_prefix = ns.prefix();
   config.backup_dir = dir.path();
-  ASSERT_TRUE(config.dump_restart_report);  // default on
   RestartManager manager(config);
 
   LeafMap leaf_map;

@@ -22,7 +22,6 @@ RecoveryResult RecoverBackups(const TempDir& dir, LeafMap* leaf_map,
   RestartConfig config;
   config.namespace_prefix = ns.prefix();
   config.backup_dir = dir.path();
-  config.dump_restart_report = false;
   config.restore.table_limits = limits;
   auto result = RestartManager(config).Recover(leaf_map, now);
   EXPECT_TRUE(result.ok()) << result.status().ToString();

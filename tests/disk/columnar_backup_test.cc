@@ -68,7 +68,6 @@ Recovered RecoverColumnar(const std::string& dir, bool instant) {
     config.namespace_prefix = ns.prefix();
     config.backup_dir = dir;
     config.backup_format = BackupFormatKind::kColumnar;
-    config.dump_restart_report = false;
     LeafMap leaf_map;
     auto result = RestartManager(config).Recover(&leaf_map, 0);
     EXPECT_TRUE(result.ok()) << result.status().ToString();

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "columnar/row.h"
@@ -143,16 +144,34 @@ TEST(StatsExporterTest, HistogramsExportDeltaVolumeAndPercentiles) {
   EXPECT_EQ(IntField(fx.sunk[1], "sum"), 2000);
 }
 
-TEST(StatsExporterTest, RestartEventRow) {
-  ExporterFixture fx;
-  ASSERT_TRUE(fx.exporter.ExportRestartEvent("alive", "shared_memory",
-                                             123456).ok());
-  ASSERT_EQ(fx.sunk.size(), 1u);
-  EXPECT_EQ(StringField(fx.sunk[0], "kind"), "restart");
-  EXPECT_EQ(StringField(fx.sunk[0], "phase"), "alive");
-  EXPECT_EQ(StringField(fx.sunk[0], "detail"), "shared_memory");
-  EXPECT_EQ(IntField(fx.sunk[0], "value"), 123456);
-  EXPECT_EQ(IntField(fx.sunk[0], "generation"), 3);
+// One writer for every event row: it stamps generation, leaf and time
+// (keeping a caller's own time), and refuses tables outside `__scuba*`,
+// whose rows the sink would insert with no disk backup.
+TEST(StatsExporterTest, SystemRowStampsAndStaysInSystemTables) {
+  std::vector<std::pair<std::string, Row>> sunk;
+  StatsExporterOptions options;
+  options.generation = 3;
+  options.leaf_id = 7;
+  options.now_unix_seconds = [] { return int64_t{1700000000}; };
+  StatsExporter exporter(
+      options, [&](const std::string& table, const std::vector<Row>& rows) {
+        for (const Row& row : rows) sunk.emplace_back(table, row);
+        return Status::OK();
+      });
+
+  Row stamped;
+  stamped.SetTime(1600000000).Set("rule", std::string("slo_breach"));
+  ASSERT_TRUE(exporter.ExportSystemRow(kAlertsTableName, stamped).ok());
+  ASSERT_TRUE(exporter.ExportSystemRow(kRestartsTableName, Row()).ok());
+  EXPECT_TRUE(exporter.ExportSystemRow("requests", Row()).IsInvalidArgument());
+
+  ASSERT_EQ(sunk.size(), 2u);
+  EXPECT_EQ(sunk[0].first, kAlertsTableName);
+  EXPECT_EQ(sunk[0].second.Time(), 1600000000);
+  EXPECT_EQ(IntField(sunk[0].second, "generation"), 3);
+  EXPECT_EQ(IntField(sunk[0].second, "leaf"), 7);
+  EXPECT_EQ(sunk[1].first, kRestartsTableName);
+  EXPECT_EQ(sunk[1].second.Time(), 1700000000);
 }
 
 TEST(StatsExporterTest, OwnMetricsExcludedFromExport) {

@@ -80,17 +80,18 @@ TEST_F(AlertsTableTest, ExternalIngestIntoAlertsTableRejected) {
 TEST_F(AlertsTableTest, TransitionRowsAreQueryable) {
   LeafServer leaf(MakeConfig());
   ASSERT_TRUE(leaf.Start().ok());
-  ASSERT_TRUE(
-      leaf.stats_exporter()->ExportAlertRow(AlertRow("slo_breach", "firing"))
-          .ok());
-  ASSERT_TRUE(
-      leaf.stats_exporter()->ExportAlertRow(AlertRow("slo_breach", "clear"))
-          .ok());
+  ASSERT_TRUE(leaf.stats_exporter()
+                  ->ExportSystemRow(obs::kAlertsTableName,
+                                    AlertRow("slo_breach", "firing"))
+                  .ok());
+  ASSERT_TRUE(leaf.stats_exporter()
+                  ->ExportSystemRow(obs::kAlertsTableName,
+                                    AlertRow("slo_breach", "clear"))
+                  .ok());
 
   EXPECT_EQ(CountOf(leaf, AlertsCount()), 2.0);
   EXPECT_EQ(CountOf(leaf, AlertsCount("slo_breach", "firing")), 1.0);
   EXPECT_EQ(CountOf(leaf, AlertsCount("slo_breach", "clear")), 1.0);
-  EXPECT_EQ(leaf.stats_exporter()->alert_rows(), 2u);
 }
 
 // Self-amplification guard: alert rows are written per TRANSITION, never
@@ -100,15 +101,16 @@ TEST_F(AlertsTableTest, TransitionRowsAreQueryable) {
 TEST_F(AlertsTableTest, AlertRowsBoundedAcrossExportCycles) {
   LeafServer leaf(MakeConfig());
   ASSERT_TRUE(leaf.Start().ok());
-  ASSERT_TRUE(
-      leaf.stats_exporter()->ExportAlertRow(AlertRow("stuck", "firing")).ok());
+  ASSERT_TRUE(leaf.stats_exporter()
+                  ->ExportSystemRow(obs::kAlertsTableName,
+                                    AlertRow("stuck", "firing"))
+                  .ok());
   ASSERT_EQ(CountOf(leaf, AlertsCount()), 1.0);
 
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(leaf.stats_exporter()->ExportOnce().ok());
   }
   EXPECT_EQ(CountOf(leaf, AlertsCount()), 1.0);
-  EXPECT_EQ(leaf.stats_exporter()->alert_rows(), 1u);
 }
 
 // "When did this cluster last page" must survive a binary rollover: the
@@ -118,7 +120,8 @@ TEST_F(AlertsTableTest, AlertHistorySurvivesShmHandoff) {
     LeafServer leaf(MakeConfig());
     ASSERT_TRUE(leaf.Start().ok());
     ASSERT_TRUE(leaf.stats_exporter()
-                    ->ExportAlertRow(AlertRow("shed_storm", "firing"))
+                    ->ExportSystemRow(obs::kAlertsTableName,
+                                      AlertRow("shed_storm", "firing"))
                     .ok());
     ShutdownStats stats;
     ASSERT_TRUE(leaf.ShutdownToSharedMemory(&stats).ok());
@@ -140,7 +143,8 @@ TEST_F(AlertsTableTest, AlertHistoryIsShmOnlyByDesign) {
     ASSERT_TRUE(leaf.Start().ok());
     ASSERT_TRUE(leaf.AddRows("requests", MakeRows(100)).ok());
     ASSERT_TRUE(leaf.stats_exporter()
-                    ->ExportAlertRow(AlertRow("lost", "firing"))
+                    ->ExportSystemRow(obs::kAlertsTableName,
+                                      AlertRow("lost", "firing"))
                     .ok());
     // Simulated crash: no shutdown; scrub the shm namespace so the
     // successor cannot recover from it.

@@ -166,7 +166,40 @@ TEST_F(RestartsTableTest, RestartRowsBoundedAcrossExportCycles) {
     ASSERT_TRUE(leaf.stats_exporter()->ExportOnce().ok());
   }
   EXPECT_EQ(CountOf(leaf, RestartsCount()), before);
-  EXPECT_EQ(leaf.stats_exporter()->restart_rows(), 1u);  // the restore row
+  EXPECT_EQ(CountOf(leaf, RestartsCount("restore")), 1.0);
+}
+
+// The checksum layer is its own column: the restore row's verify_micros is
+// the engine's RestoreStats::verify_micros, > 0 for a verified shm restart.
+TEST_F(RestartsTableTest, RestoreRowCarriesVerifyMicros) {
+  {
+    LeafServer leaf(MakeConfig());
+    ASSERT_TRUE(leaf.Start().ok());
+    for (int i = 0; i < 9; ++i) {  // one sealed block plus a tail
+      ASSERT_TRUE(leaf.AddRows("events", MakeRows(8192, 1000 + i)).ok());
+    }
+    ShutdownStats stats;
+    ASSERT_TRUE(leaf.ShutdownToSharedMemory(&stats).ok());
+  }
+  LeafServer successor(MakeConfig());
+  auto recovery = successor.Start();
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  ASSERT_EQ(recovery->source, RecoverySource::kSharedMemory);
+  const int64_t verify_micros =
+      successor.last_recovery().shm_stats.verify_micros.load();
+  EXPECT_GT(verify_micros, 0);
+
+  Query q = RestartsCount("restore");
+  q.predicates.push_back(
+      {"generation", CompareOp::kEq,
+       Value(static_cast<int64_t>(successor.heartbeat_generation()))});
+  q.aggregates = {Count(), Max("verify_micros")};
+  auto result = successor.ExecuteQuery(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto rows = result->Finalize(q.aggregates);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].aggregates[0], 1.0);
+  EXPECT_EQ(rows[0].aggregates[1], static_cast<double>(verify_micros));
 }
 
 TEST_F(RestartsTableTest, ExternalIngestIntoRestartsTableRejected) {

@@ -39,9 +39,9 @@ class SelfStatsTableTest : public ::testing::Test {
   }
 
   static Query RestartRowsByGeneration() {
-    Query q = CountStatsQuery();
-    q.predicates.push_back(
-        {"kind", CompareOp::kEq, Value(std::string("restart"))});
+    Query q;
+    q.table = obs::kRestartsTableName;
+    q.aggregates = {Count()};
     q.group_by = {"generation"};
     return q;
   }

@@ -64,6 +64,16 @@ class SlowQueryLogTest : public ::testing::Test {
     return rows.empty() ? 0.0 : rows[0].aggregates[0];
   }
 
+  // Rows in one leaf's own `__scuba_queries` shard.
+  double CountLeafLogRows(size_t leaf) {
+    auto result =
+        leaves_[leaf]->ExecuteQuery(CountQuery(obs::kQueriesTableName));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return -1.0;
+    auto rows = result->Finalize({Count()});
+    return rows.empty() ? 0.0 : rows[0].aggregates[0];
+  }
+
   ShmNamespace ns_;
   TempDir dir_;
   std::vector<std::unique_ptr<LeafServer>> leaves_;
@@ -80,7 +90,7 @@ TEST_F(SlowQueryLogTest, SlowQueryRowQueryableThroughAggregator) {
 
   EXPECT_EQ(CountLogRows("slow"), 1.0);
   // The row rode the first live leaf's exporter.
-  EXPECT_EQ(leaves_[0]->stats_exporter()->query_rows(), 1u);
+  EXPECT_EQ(CountLeafLogRows(0), 1.0);
 
   // The row carries the fingerprint and profile counters as columns.
   Query q = CountQuery(obs::kQueriesTableName);
@@ -118,7 +128,6 @@ TEST_F(SlowQueryLogTest, SystemTableQueriesNeverLoggedOrSampled) {
     ASSERT_TRUE(aggregator_.Execute(CountQuery(obs::kQueriesTableName)).ok());
     ASSERT_TRUE(aggregator_.Execute(CountQuery(obs::kStatsTableName)).ok());
   }
-  EXPECT_EQ(leaves_[0]->stats_exporter()->query_rows(), 0u);
   EXPECT_EQ(CountLogRows(), 0.0);
 
   // System tables get no per-table latency histogram either.
@@ -130,7 +139,7 @@ TEST_F(SlowQueryLogTest, SystemTableQueriesNeverLoggedOrSampled) {
 
   // A normal query is still logged.
   ASSERT_TRUE(aggregator_.Execute(CountQuery("events")).ok());
-  EXPECT_EQ(leaves_[0]->stats_exporter()->query_rows(), 1u);
+  EXPECT_EQ(CountLeafLogRows(0), 1.0);
 }
 
 // The PR-4-style bounded-width regression: 100 cycles of (user query +
@@ -148,7 +157,7 @@ TEST_F(SlowQueryLogTest, HundredCyclesBoundedWidth) {
     }
   }
   EXPECT_EQ(CountLogRows(), 100.0);
-  EXPECT_EQ(leaves_[0]->stats_exporter()->query_rows(), 100u);
+  EXPECT_EQ(CountLeafLogRows(0), 100.0);
 }
 
 TEST_F(SlowQueryLogTest, ErrorAttributedToOffendingLeaf) {
