@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI gate: build + test in Release, rebuild the query/columnar/compress
-# suites under AddressSanitizer + UBSan, then rebuild the concurrency-
-# sensitive targets under ThreadSanitizer and run the core/shm/util/disk/
-# query suites (the restore engine's — blocking and instant, every source —
-# parallel copy and parallel query scan data-race surface).
+# CI gate: build + test in Release, rebuild the query/columnar/compress/
+# disk/core suites under AddressSanitizer + UBSan, then rebuild the
+# concurrency-sensitive targets under ThreadSanitizer and run the
+# core/shm/util/disk/query suites (the restore engine's — blocking and
+# instant, every source — parallel copy and parallel query scan data-race
+# surface).
 #
 # Usage: ci/check.sh [jobs]
 set -euo pipefail
@@ -213,13 +214,15 @@ cmake --build build-release -j "${JOBS}" --target health_alerts
 ./build-release/examples/health_alerts
 
 echo
-echo "=== ASan+UBSan build + query/columnar/compress suites ==="
+echo "=== ASan+UBSan build + query/columnar/compress/disk/core suites ==="
 # SCUBA_ASAN makes every UBSan report fatal, so any report fails its suite.
+# disk_test and core_test cover the backup readers' offset arithmetic over
+# bytes read from disk.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCUBA_ASAN=ON \
   >/dev/null
 cmake --build build-asan -j "${JOBS}" \
-  --target query_test columnar_test compress_test
-for suite in query_test columnar_test compress_test; do
+  --target query_test columnar_test compress_test disk_test core_test
+for suite in query_test columnar_test compress_test disk_test core_test; do
   "./build-asan/tests/${suite}" --gtest_brief=1
 done
 

@@ -10,6 +10,14 @@
 
 namespace scuba {
 
+/// The row-block byte cap's estimate for one field: a name of `name_size`
+/// bytes with a value carrying `string_size` payload bytes (0 unless the
+/// value is a string). Row::EstimatedBytes and WriteBuffer::AppendColumns
+/// both sum it, so both cut blocks at the same row.
+inline size_t EstimatedFieldBytes(size_t name_size, size_t string_size) {
+  return name_size + 16 + string_size;
+}
+
 /// One ingested row: named fields. Every row must include the int64 "time"
 /// field (the event's unix timestamp, §2.1). Rows within one table may have
 /// different field sets; the write buffer densifies them.
@@ -43,10 +51,8 @@ struct Row {
   size_t EstimatedBytes() const {
     size_t bytes = 0;
     for (const auto& [name, value] : fields) {
-      bytes += name.size() + 16;
-      if (const std::string* s = std::get_if<std::string>(&value)) {
-        bytes += s->size();
-      }
+      const std::string* s = std::get_if<std::string>(&value);
+      bytes += EstimatedFieldBytes(name.size(), s != nullptr ? s->size() : 0);
     }
     return bytes;
   }

@@ -24,6 +24,45 @@ Status Table::AddRows(const std::vector<Row>& rows, int64_t now) {
   return Status::OK();
 }
 
+Status Table::AddColumns(const Schema& schema,
+                         std::vector<ColumnValues> columns, int64_t now) {
+  const size_t num_rows =
+      columns.empty()
+          ? 0
+          : std::visit([](const auto& v) { return v.size(); }, columns[0]);
+  size_t begin = 0;
+  do {
+    SCUBA_ASSIGN_OR_RETURN(
+        size_t taken, write_buffer_.AppendColumns(schema, &columns, begin));
+    begin += taken;
+    if (write_buffer_.Full()) {
+      SCUBA_RETURN_IF_ERROR(SealInternal(now));
+    }
+  } while (begin < num_rows);
+  return Status::OK();
+}
+
+Status Table::AdoptRecovered(Table* recovered, int64_t now) {
+  // A field whose type changed between the recovered tail and the rows
+  // buffered here would fail their append: seal the tail into a block of
+  // its own ahead of them instead.
+  if (recovered->write_buffer_.ConflictsWith(write_buffer_)) {
+    SCUBA_RETURN_IF_ERROR(recovered->SealWriteBuffer(now));
+  }
+  for (auto& block : recovered->row_blocks_) {
+    if (block != nullptr) row_blocks_.push_back(std::move(block));
+  }
+  recovered->row_blocks_.clear();
+  if (recovered->write_buffer_.empty()) return Status::OK();
+  WriteBuffer newer = std::move(write_buffer_);
+  write_buffer_ = std::move(recovered->write_buffer_);
+  if (newer.empty()) return Status::OK();
+  Schema schema;
+  std::vector<ColumnValues> columns;
+  newer.TakeColumns(&schema, &columns);
+  return AddColumns(schema, std::move(columns), now);
+}
+
 Status Table::SealWriteBuffer(int64_t now) {
   if (write_buffer_.empty()) return Status::OK();
   return SealInternal(now);
@@ -42,6 +81,10 @@ size_t Table::ExpireData(int64_t now) {
       } else {
         ++it;
       }
+    }
+    if (!write_buffer_.empty() && write_buffer_.max_time() < cutoff) {
+      write_buffer_ = WriteBuffer();
+      ++dropped;
     }
   }
 

@@ -49,13 +49,20 @@ class Table {
   /// `now` is the unix timestamp used as block creation time.
   Status AddRows(const std::vector<Row>& rows, int64_t now);
 
+  /// Appends a batch given in column form (WriteBuffer::AppendColumns),
+  /// sealing the write buffer into row blocks at the same rows AddRows
+  /// would for the batch's dense rows.
+  Status AddColumns(const Schema& schema, std::vector<ColumnValues> columns,
+                    int64_t now);
+
   /// Seals any buffered rows into a final (possibly short) row block.
   /// Called when shutdown flushes state (Fig 5c "PREPARE"). No-op when the
   /// buffer is empty.
   Status SealWriteBuffer(int64_t now);
 
-  /// Applies the age/size limits, dropping whole expired row blocks.
-  /// Returns the number of blocks dropped.
+  /// Applies the age/size limits, dropping whole expired row blocks, and
+  /// the write buffer too once its newest row is past the age limit.
+  /// Returns the number of blocks (and buffers) dropped.
   size_t ExpireData(int64_t now);
 
   size_t num_row_blocks() const { return row_blocks_.size(); }
@@ -80,11 +87,6 @@ class Table {
     return std::move(row_blocks_[i]);
   }
 
-  /// Appends a recovered row block (restore path).
-  void AdoptRowBlock(std::unique_ptr<RowBlock> block) {
-    row_blocks_.push_back(std::move(block));
-  }
-
   /// Instant restore: pre-sizes the block vector with `n` null slots so
   /// blocks can land out of order while preserving the original block
   /// order (query results stay bit-identical to a blocking restore). All
@@ -98,6 +100,15 @@ class Table {
   void AdoptRowBlockAt(size_t i, std::unique_ptr<RowBlock> block) {
     row_blocks_[i] = std::move(block);
   }
+
+  /// Moves in a table rebuilt off to the side from a backup file (a .bak
+  /// translate, a .cols tail): its sealed blocks are appended, its write
+  /// buffer becomes this table's, and the rows this table had buffered
+  /// (ingested during an instant restore) are appended after it, so they
+  /// follow the file's rows. If a field's type differs between the two
+  /// buffers, the recovered one is sealed into a block instead and this
+  /// table's buffer stays. Leaves `recovered` empty.
+  Status AdoptRecovered(Table* recovered, int64_t now);
 
  private:
   Status SealInternal(int64_t now);

@@ -25,11 +25,28 @@ class WriteBuffer {
   WriteBuffer() = default;
   WriteBuffer(const WriteBuffer&) = delete;
   WriteBuffer& operator=(const WriteBuffer&) = delete;
+  /// Moving leaves the source empty.
+  WriteBuffer(WriteBuffer&& other) noexcept { *this = std::move(other); }
+  WriteBuffer& operator=(WriteBuffer&& other) noexcept;
 
   /// Appends one row. Fails (leaving the buffer unchanged) if the row lacks
   /// a valid "time" field or a field's type conflicts with the buffered
   /// column's type.
   Status AddRow(const Row& row);
+
+  /// Appends the rows of a batch given in column form — one dense value
+  /// vector per `schema` column, all of one length (the shape
+  /// RowBlock::Build takes) — from row `begin` until the batch ends or the
+  /// buffer is Full(), moving the values out of `*columns`. Returns how
+  /// many rows it took. Each column is looked up once per call, and each
+  /// row counts Row::EstimatedBytes of the dense row, so appending and
+  /// sealing whenever Full() cuts blocks exactly where AddRow would. Fails
+  /// (leaving the buffer unchanged) if the schema lacks an int64 "time"
+  /// column or repeats a name, or a column's values do not match its
+  /// declared type, its length or the buffered column's type.
+  StatusOr<size_t> AppendColumns(const Schema& schema,
+                                 std::vector<ColumnValues>* columns,
+                                 size_t begin);
 
   size_t row_count() const { return row_count_; }
   bool empty() const { return row_count_ == 0; }
@@ -47,6 +64,10 @@ class WriteBuffer {
   /// Fails if the buffer is empty.
   StatusOr<std::unique_ptr<RowBlock>> Seal(int64_t creation_timestamp);
 
+  /// Moves the buffered columns out in column order — the batch
+  /// AppendColumns takes — and resets the buffer.
+  void TakeColumns(Schema* schema, std::vector<ColumnValues>* columns);
+
   /// Min/max of buffered "time" values (valid when !empty()).
   int64_t min_time() const { return min_time_; }
   int64_t max_time() const { return max_time_; }
@@ -56,11 +77,15 @@ class WriteBuffer {
   std::optional<ColumnValues> MaterializeColumn(const std::string& name) const;
 
   /// The buffered column's dense values in place, or nullptr if no row has
-  /// supplied the column yet. Valid until the next AddRow or Seal.
+  /// supplied the column yet. Valid until the next append or Seal.
   const ColumnValues* ColumnView(const std::string& name) const;
 
   /// Type of a buffered column, or nullopt.
   std::optional<ColumnType> ColumnTypeOf(const std::string& name) const;
+
+  /// True when some column of `other` is buffered here with another type,
+  /// so other's rows could not be appended to this buffer.
+  bool ConflictsWith(const WriteBuffer& other) const;
 
   /// Reconstructs the buffered rows (densified to the union schema, in
   /// arrival order). Used to re-seed the columnar backup's tail after a
@@ -69,16 +94,23 @@ class WriteBuffer {
 
  private:
   struct ColumnBuffer {
+    std::string name;
     ColumnType type;
     ColumnValues values;
   };
 
+  /// The buffered column `name`, created (back-filled with defaults for
+  /// the rows already buffered) when missing.
+  ColumnBuffer& FindOrAddColumn(const std::string& name, ColumnType type);
   // Appends the column's default value `n` times (back-fill).
   static void AppendDefaults(ColumnBuffer* col, size_t n);
   static Status AppendValue(ColumnBuffer* col, const Value& value);
+  void NoteTimes(int64_t min_time, int64_t max_time);
+  void Reset();
 
-  std::vector<std::string> column_order_;
-  std::unordered_map<std::string, ColumnBuffer> columns_;
+  /// Columns in first-seen order; index_ maps a name to its position.
+  std::vector<ColumnBuffer> columns_;
+  std::unordered_map<std::string, size_t> index_;
   size_t row_count_ = 0;
   uint64_t estimated_bytes_ = 0;
   int64_t min_time_ = 0;

@@ -210,10 +210,11 @@ class ShmRestoreSource : public RestoreSource {
 class ColsRestoreSource : public RestoreSource {
  public:
   ColsRestoreSource(std::string dir, uint64_t throttle_bytes_per_sec,
-                    bool verify_checksums)
+                    bool verify_checksums, int64_t now)
       : dir_(std::move(dir)),
         throttle_(throttle_bytes_per_sec),
-        verify_(verify_checksums) {}
+        verify_(verify_checksums),
+        now_(now) {}
 
   Status Init(const ColsCuts& cuts) {
     SCUBA_ASSIGN_OR_RETURN(std::vector<std::string> names,
@@ -227,14 +228,13 @@ class ColsRestoreSource : public RestoreSource {
           ColumnarBackupReader::TableBackup backup,
           ColumnarBackupReader::ReadTable(
               dir_, name, cut == cuts.end() ? SIZE_MAX : cut->second,
-              throttle_));
+              throttle_, now_));
       open_stats_.Add(backup.stats);
 
       const size_t table_index = tables_.size();
       TableInfo info;
       info.name = name;
       info.num_slots = backup.blocks.size();
-      info.tail_rows = std::move(backup.tail_rows);
       tables_.push_back(std::move(info));
       for (size_t b = 0; b < backup.blocks.size(); ++b) {
         const ColumnarBackupReader::BlockRef& ref = backup.blocks[b];
@@ -274,12 +274,17 @@ class ColsRestoreSource : public RestoreSource {
     return loaded;
   }
 
+  std::unique_ptr<Table> TakeTail(size_t table_index) override {
+    return std::move(backups_[table_index].tail);
+  }
+
   // The .cols files ARE the durable backup; nothing to release or scrub.
 
  private:
   std::string dir_;
   uint64_t throttle_;
   bool verify_;
+  int64_t now_;
   std::vector<ColumnarBackupReader::TableBackup> backups_;
   std::vector<TableInfo> tables_;
   std::vector<RestoreUnit> units_;
@@ -339,17 +344,15 @@ class BakRestoreSource : public RestoreSource {
 
   StatusOr<LoadedUnit> Load(size_t i) override {
     const std::string& name = tables_[units_[i].table_index].name;
-    // Translate into a scratch table off the leaf's lock, then hand the
-    // finished blocks + unsealed tail rows over for adoption.
-    Table scratch(name);
+    // Translate into a table of its own off the leaf's lock, then hand it
+    // over whole — sealed blocks and unsealed write buffer — for adoption.
+    // The file is read only up to its size at open: records the leaf
+    // appended since are rows it ingested itself.
     LoadedUnit loaded;
+    loaded.table = std::make_unique<Table>(name);
     SCUBA_RETURN_IF_ERROR(BackupReader::RecoverTable(
-        dir_ + "/" + name + ".bak", &scratch, throttle_, now_, &loaded.disk));
-    loaded.blocks.reserve(scratch.num_row_blocks());
-    for (size_t b = 0; b < scratch.num_row_blocks(); ++b) {
-      loaded.blocks.push_back(scratch.ReleaseRowBlock(b));
-    }
-    loaded.tail_rows = scratch.write_buffer().MaterializeRows();
+        dir_ + "/" + name + ".bak", units_[i].bytes, loaded.table.get(),
+        throttle_, now_, &loaded.disk));
     return loaded;
   }
 
@@ -420,12 +423,12 @@ StatusOr<std::unique_ptr<RestoreSource>> OpenShmRestoreSource(
 
 StatusOr<std::unique_ptr<RestoreSource>> OpenColsRestoreSource(
     const std::string& dir, uint64_t throttle_bytes_per_sec,
-    bool verify_checksums, const ColsCuts& cuts) {
+    bool verify_checksums, const ColsCuts& cuts, int64_t now) {
   if (dir.empty() || !FileExists(dir)) {
     return Status::NotFound("no backup directory at '" + dir + "'");
   }
   auto source = std::make_unique<ColsRestoreSource>(
-      dir, throttle_bytes_per_sec, verify_checksums);
+      dir, throttle_bytes_per_sec, verify_checksums, now);
   SCUBA_RETURN_IF_ERROR(source->Init(cuts));
   return StatusOr<std::unique_ptr<RestoreSource>>(std::move(source));
 }
@@ -441,18 +444,19 @@ StatusOr<std::unique_ptr<RestoreSource>> OpenBakRestoreSource(
   return StatusOr<std::unique_ptr<RestoreSource>>(std::move(source));
 }
 
-StatusOr<std::vector<Table*>> CreateRestoreTables(const RestoreSource& source,
+StatusOr<std::vector<Table*>> CreateRestoreTables(RestoreSource* source,
                                                   const TableLimits& limits,
                                                   int64_t now,
                                                   LeafMap* leaf_map) {
   std::vector<Table*> tables;
-  tables.reserve(source.tables().size());
-  for (const RestoreSource::TableInfo& info : source.tables()) {
+  tables.reserve(source->tables().size());
+  for (size_t t = 0; t < source->tables().size(); ++t) {
+    const RestoreSource::TableInfo& info = source->tables()[t];
     SCUBA_ASSIGN_OR_RETURN(Table * table,
                            leaf_map->CreateTable(info.name, limits));
     table->ReserveRestoreSlots(info.num_slots);
-    if (!info.tail_rows.empty()) {
-      SCUBA_RETURN_IF_ERROR(table->AddRows(info.tail_rows, now));
+    if (std::unique_ptr<Table> tail = source->TakeTail(t)) {
+      SCUBA_RETURN_IF_ERROR(table->AdoptRecovered(tail.get(), now));
     }
     tables.push_back(table);
   }
@@ -465,11 +469,8 @@ Status AdoptRestoredUnit(Table* table, const RestoreUnit& unit,
     table->AdoptRowBlockAt(unit.slot, std::move(loaded.block));
     return Status::OK();
   }
-  for (auto& block : loaded.blocks) {
-    if (block != nullptr) table->AdoptRowBlock(std::move(block));
-  }
-  if (loaded.tail_rows.empty()) return Status::OK();
-  return table->AddRows(loaded.tail_rows, now);
+  if (loaded.table == nullptr) return Status::OK();
+  return table->AdoptRecovered(loaded.table.get(), now);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "columnar/leaf_map.h"
-#include "columnar/row.h"
 #include "columnar/row_block.h"
+#include "columnar/table.h"
 #include "core/footprint.h"
 #include "core/restart_events.h"
 #include "core/restore.h"
@@ -84,12 +84,12 @@ struct RestoreUnit {
   }
 };
 
-/// What Load produced: a single block (slot units) or a whole table's
-/// blocks plus its not-yet-sealed tail rows (whole-table units).
+/// What Load produced: a single block (slot units) or a whole table
+/// rebuilt off to the side — its sealed blocks and its unsealed write
+/// buffer (whole-table units).
 struct LoadedUnit {
   std::unique_ptr<RowBlock> block;
-  std::vector<std::unique_ptr<RowBlock>> blocks;
-  std::vector<Row> tail_rows;
+  std::unique_ptr<Table> table;
   /// Column buffers copied (stats; 0 where the source cannot count them).
   uint64_t columns_copied = 0;
   /// File reads and translation this Load did (disk sources).
@@ -99,7 +99,8 @@ struct LoadedUnit {
   int64_t verify_micros = 0;
 
   size_t NumBlocks() const {
-    return block != nullptr ? 1 : blocks.size();
+    if (block != nullptr) return 1;
+    return table != nullptr ? table->num_row_blocks() : 0;
   }
 };
 
@@ -115,10 +116,6 @@ class RestoreSource {
     /// Heap slots to reserve before serving queries (sealed block count).
     /// 0 for whole-table sources where the count is unknown until Load.
     size_t num_slots = 0;
-    /// Tail rows to replay into the table's write buffer at setup time
-    /// (columnar source; empty elsewhere — the .bak source returns its
-    /// tail rows from Load instead).
-    std::vector<Row> tail_rows;
   };
 
   /// What UnitDrained released: units [first_unit, end_unit) whose source
@@ -142,6 +139,14 @@ class RestoreSource {
 
   /// Copies unit `i` to the heap. Thread-safe across distinct units.
   virtual StatusOr<LoadedUnit> Load(size_t i) = 0;
+
+  /// Table `table_index`'s unsealed tail, recovered at open and handed
+  /// over once at setup time (the .cols tail); null elsewhere — the .bak
+  /// source returns its tail from Load instead.
+  virtual std::unique_ptr<Table> TakeTail(size_t table_index) {
+    (void)table_index;
+    return nullptr;
+  }
 
   /// Called once per unit, serialized under the engine mutex, after the
   /// unit's blocks were adopted. The shm source truncates the
@@ -178,34 +183,35 @@ StatusOr<std::unique_ptr<RestoreSource>> OpenShmRestoreSource(
 /// table name -> number of leading blocks kept.
 using ColsCuts = std::map<std::string, size_t>;
 
-/// Opens the columnar (.cols) disk source: reads every table's files fully
-/// (the raw read is the cheap phase; translation dominates, §6), keeping
-/// each table's clean prefix of block records, cut per `cuts`, and the
-/// rows of its matching tail (ColumnarBackupReader::ReadTable). NotFound
+/// Opens the columnar (.cols) disk source: reads every table's .cols file
+/// fully (the raw read is the cheap phase; translation dominates, §6),
+/// keeping each table's clean prefix of block records, cut per `cuts`, and
+/// replays its matching tail (ColumnarBackupReader::ReadTable). NotFound
 /// when `dir` has no .cols files.
 StatusOr<std::unique_ptr<RestoreSource>> OpenColsRestoreSource(
     const std::string& dir, uint64_t throttle_bytes_per_sec,
-    bool verify_checksums, const ColsCuts& cuts);
+    bool verify_checksums, const ColsCuts& cuts, int64_t now);
 
-/// Opens the row-major (.bak) disk source: one whole-table unit per file;
-/// Load runs the full read+translate for that table. NotFound when `dir`
-/// has no .bak files.
+/// Opens the row-major (.bak) disk source: one whole-table unit per file,
+/// bounded by the file's size now; Load streams and translates that table.
+/// NotFound when `dir` has no .bak files.
 StatusOr<std::unique_ptr<RestoreSource>> OpenBakRestoreSource(
     const std::string& dir, uint64_t throttle_bytes_per_sec, int64_t now);
 
 /// Creates every table of `source` in `leaf_map` with its block slots
 /// reserved (null until their blocks land; every reader skips nulls) and
-/// its unsealed tail rows replayed — so from the very first query the
-/// table's SHAPE is final and only block payloads are missing. Returns the
-/// tables in source order.
-StatusOr<std::vector<Table*>> CreateRestoreTables(const RestoreSource& source,
+/// its unsealed tail adopted (RestoreSource::TakeTail) — so from the very
+/// first query the table's SHAPE is final and only block payloads are
+/// missing. Returns the tables in source order.
+StatusOr<std::vector<Table*>> CreateRestoreTables(RestoreSource* source,
                                                   const TableLimits& limits,
                                                   int64_t now,
                                                   LeafMap* leaf_map);
 
 /// Installs a loaded unit into its table: a block into its slot, or — for
-/// a whole-table unit — the blocks in original order followed by the
-/// unsealed tail rows. The caller serializes adopts into one table.
+/// a whole-table unit — the rebuilt table (Table::AdoptRecovered: its
+/// blocks in original order, then its unsealed write buffer, then any rows
+/// ingested meanwhile). The caller serializes adopts into one table.
 Status AdoptRestoredUnit(Table* table, const RestoreUnit& unit,
                          LoadedUnit loaded, int64_t now);
 

@@ -108,7 +108,7 @@ StatusOr<std::unique_ptr<RestoreSource>> RestartManager::OpenSource(
         config_.backup_format == BackupFormatKind::kColumnar
             ? OpenColsRestoreSource(config_.backup_dir, throttle,
                                     config_.restore.verify_checksums,
-                                    cols_cuts)
+                                    cols_cuts, now)
             : OpenBakRestoreSource(config_.backup_dir, throttle, now));
   }
 
@@ -148,7 +148,7 @@ StatusOr<RecoveryResult> RestartManager::Recover(LeafMap* leaf_map,
     const RecoverySource kind = source->recovery_source();
     const int64_t copy_start = tracer->ElapsedMicros();
     auto tables_or = CreateRestoreTables(
-        *source, config_.restore.table_limits, now, leaf_map);
+        source.get(), config_.restore.table_limits, now, leaf_map);
     if (!tables_or.ok()) {
       source->Abandon();
       leaf_map->Clear();
@@ -242,7 +242,7 @@ void RestartManager::FinishRecovery(const InstantRestoreEngine* engine,
     }
     if (dropped > 0) {
       SCUBA_INFO << "leaf " << config_.leaf_id << ": post-restore expiry "
-                 << "dropped " << dropped << " blocks";
+                 << "dropped " << dropped << " blocks and buffers";
     }
   }
   // The epilogue — result, gauge and the report write — is covered by its

@@ -1,5 +1,6 @@
 #include "disk/backup_format.h"
 
+#include <cstring>
 #include <unordered_map>
 
 #include "util/crc32c.h"
@@ -30,40 +31,6 @@ void AppendValue(const Value& value, ByteBuffer* out) {
       break;
     }
   }
-}
-
-Status ReadValue(ColumnType type, Slice* in, Value* value) {
-  switch (type) {
-    case ColumnType::kInt64: {
-      int64_t v = 0;
-      if (!varint::ReadI64(in, &v)) {
-        return Status::Corruption("backup: truncated int64 value");
-      }
-      *value = v;
-      return Status::OK();
-    }
-    case ColumnType::kDouble: {
-      if (in->size() < 8) {
-        return Status::Corruption("backup: truncated double value");
-      }
-      uint64_t bits = ByteBuffer::DecodeU64(in->data());
-      in->RemovePrefix(8);
-      double v;
-      std::memcpy(&v, &bits, 8);
-      *value = v;
-      return Status::OK();
-    }
-    case ColumnType::kString: {
-      uint64_t len = 0;
-      if (!varint::ReadU64(in, &len) || in->size() < len) {
-        return Status::Corruption("backup: truncated string value");
-      }
-      *value = std::string(reinterpret_cast<const char*>(in->data()), len);
-      in->RemovePrefix(len);
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("backup: unknown value type");
 }
 
 }  // namespace
@@ -142,44 +109,113 @@ Status AppendRowBatchRecord(const std::vector<Row>& rows, ByteBuffer* out) {
   return Status::OK();
 }
 
-Status ReadRowBatchRecord(Slice* input, std::vector<Row>* rows) {
-  if (input->empty()) return Status::NotFound("end of backup file");
-  if (input->size() < 8) {
+Status ReadRecord(ChunkedFileReader* file, Slice* payload) {
+  if (file->remaining() == 0) return Status::NotFound("end of backup file");
+  if (file->remaining() < 8) {
     return Status::Corruption("backup: truncated record header");
   }
-  uint32_t payload_len = ByteBuffer::DecodeU32(input->data());
-  uint32_t stored_crc =
-      crc32c::Unmask(ByteBuffer::DecodeU32(input->data() + 4));
-  if (input->size() < 8 + static_cast<size_t>(payload_len)) {
-    return Status::Corruption("backup: truncated record payload");
+  Slice header;
+  SCUBA_RETURN_IF_ERROR(file->Read(8, &header));
+  const uint32_t payload_len = ByteBuffer::DecodeU32(header.data());
+  const uint32_t stored_crc =
+      crc32c::Unmask(ByteBuffer::DecodeU32(header.data() + 4));
+  if (payload_len > file->remaining()) {
+    return Status::Corruption(
+        "backup: record length points past the end of the file");
   }
-  Slice payload(input->data() + 8, payload_len);
-  if (crc32c::Value(payload.data(), payload.size()) != stored_crc) {
+  SCUBA_RETURN_IF_ERROR(file->Read(payload_len, payload));
+  if (crc32c::Value(payload->data(), payload->size()) != stored_crc) {
     return Status::Corruption("backup: record checksum mismatch");
   }
-  input->RemovePrefix(8 + payload_len);
+  return Status::OK();
+}
 
+Status DecodeRowBatch(Slice payload, RowBatch* batch) {
   if (payload.empty() || payload[0] != kRecordTypeRowBatch) {
     return Status::Corruption("backup: unknown record type");
   }
   payload.RemovePrefix(1);
 
-  SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::Parse(&payload));
+  SCUBA_ASSIGN_OR_RETURN(batch->schema, Schema::Parse(&payload));
   uint64_t row_count = 0;
   if (!varint::ReadU64(&payload, &row_count)) {
     return Status::Corruption("backup: truncated row count");
   }
+  const size_t num_columns = batch->schema.num_columns();
+  // Every value takes at least a byte, so a count the payload cannot hold
+  // is corrupt — and is never allocated.
+  if (row_count > 0 &&
+      (num_columns == 0 || row_count > payload.size() / num_columns)) {
+    return Status::Corruption("backup: row count exceeds the record");
+  }
 
-  rows->reserve(rows->size() + row_count);
-  for (uint64_t r = 0; r < row_count; ++r) {
-    Row row;
-    row.fields.reserve(schema.num_columns());
-    for (const ColumnDef& col : schema.columns()) {
-      Value value;
-      SCUBA_RETURN_IF_ERROR(ReadValue(col.type, &payload, &value));
-      row.fields.emplace_back(col.name, std::move(value));
+  // One typed vector per column, decoded into in row-major file order.
+  batch->columns.clear();
+  batch->columns.reserve(num_columns);
+  std::vector<ColumnType> types(num_columns);
+  std::vector<void*> out(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    types[c] = batch->schema.column(c).type;
+    switch (types[c]) {
+      case ColumnType::kInt64: {
+        auto& v = batch->columns.emplace_back(std::in_place_type<
+                                              std::vector<int64_t>>);
+        std::get<std::vector<int64_t>>(v).reserve(row_count);
+        out[c] = &std::get<std::vector<int64_t>>(v);
+        break;
+      }
+      case ColumnType::kDouble: {
+        auto& v = batch->columns.emplace_back(std::in_place_type<
+                                              std::vector<double>>);
+        std::get<std::vector<double>>(v).reserve(row_count);
+        out[c] = &std::get<std::vector<double>>(v);
+        break;
+      }
+      case ColumnType::kString: {
+        auto& v = batch->columns.emplace_back(std::in_place_type<
+                                              std::vector<std::string>>);
+        std::get<std::vector<std::string>>(v).reserve(row_count);
+        out[c] = &std::get<std::vector<std::string>>(v);
+        break;
+      }
     }
-    rows->push_back(std::move(row));
+  }
+
+  for (uint64_t r = 0; r < row_count; ++r) {
+    for (size_t c = 0; c < num_columns; ++c) {
+      switch (types[c]) {
+        case ColumnType::kInt64: {
+          int64_t v = 0;
+          if (!varint::ReadI64(&payload, &v)) {
+            return Status::Corruption("backup: truncated int64 value");
+          }
+          static_cast<std::vector<int64_t>*>(out[c])->push_back(v);
+          break;
+        }
+        case ColumnType::kDouble: {
+          if (payload.size() < 8) {
+            return Status::Corruption("backup: truncated double value");
+          }
+          const uint64_t bits = ByteBuffer::DecodeU64(payload.data());
+          payload.RemovePrefix(8);
+          double v;
+          std::memcpy(&v, &bits, 8);
+          static_cast<std::vector<double>*>(out[c])->push_back(v);
+          break;
+        }
+        case ColumnType::kString: {
+          uint64_t len = 0;
+          if (!varint::ReadU64(&payload, &len) || len > payload.size()) {
+            return Status::Corruption("backup: truncated string value");
+          }
+          static_cast<std::vector<std::string>*>(out[c])->emplace_back(
+              reinterpret_cast<const char*>(payload.data()),
+              static_cast<size_t>(len));
+          payload.RemovePrefix(static_cast<size_t>(len));
+          break;
+        }
+      }
+    }
   }
   return Status::OK();
 }

@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "columnar/row.h"
+#include "columnar/row_block.h"
 #include "columnar/schema.h"
+#include "disk/file.h"
 #include "util/byte_buffer.h"
 #include "util/slice.h"
 #include "util/status.h"
@@ -52,12 +54,26 @@ Status CheckFileHeader(Slice* input);
 /// back-filled. Fails if any row lacks the "time" field or types conflict.
 Status AppendRowBatchRecord(const std::vector<Row>& rows, ByteBuffer* out);
 
-/// Decodes the next record from `*input` into `rows` (appending).
-/// Returns:
-///  - OK and advances input on success,
-///  - NotFound when input is empty (clean end of file),
-///  - Corruption on a torn/corrupt record (input position unspecified).
-Status ReadRowBatchRecord(Slice* input, std::vector<Row>* rows);
+/// Reads the next record from `file` (positioned after the file header)
+/// and checks its CRC. Returns:
+///  - OK with `*payload` valid until the file's next Read,
+///  - NotFound at the clean end of the file,
+///  - Corruption on a torn or corrupt record: a header or payload cut
+///    short, a length pointing past the end of the file (decided from the
+///    file's size, never by allocating that length), or a CRC mismatch.
+Status ReadRecord(ChunkedFileReader* file, Slice* payload);
+
+/// One row-batch record in column form: the record's union schema and one
+/// dense value vector per schema column — the shape RowBlock::Build and
+/// Table::AddColumns take.
+struct RowBatch {
+  Schema schema;
+  std::vector<ColumnValues> columns;
+};
+
+/// Decodes a row-batch record's payload straight into `*batch`, replacing
+/// its contents. Corruption on a malformed payload.
+Status DecodeRowBatch(Slice payload, RowBatch* batch);
 
 }  // namespace backup_format
 }  // namespace scuba

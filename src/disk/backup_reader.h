@@ -4,6 +4,7 @@
 #include <string>
 
 #include "columnar/table.h"
+#include "disk/file.h"
 #include "util/status.h"
 
 namespace scuba {
@@ -31,20 +32,31 @@ struct DiskRestoreStats {
   }
 };
 
-/// Disk recovery of one row-major backup file: reads it and re-translates
+/// Disk recovery of one row-major backup file: streams it and re-translates
 /// the records into the columnar heap format. This is the slow path the
 /// paper measures at 2.5-3 hours per 120 GB server (§1): the raw read is a
 /// fraction of it; decode + row block building + recompression dominates.
 /// The restore engine runs it once per table (core/instant_restore).
 class BackupReader {
  public:
-  /// Recovers the backup file at `path` into `table`, appending sealed row
-  /// blocks, and adds its read and translate (decode + rebuild +
-  /// recompress) costs to `stats`. `now` is used as block creation time;
-  /// >0 `throttle_bytes_per_sec` paces the read to model a slow disk.
-  static Status RecoverTable(const std::string& path, Table* table,
-                             uint64_t throttle_bytes_per_sec, int64_t now,
-                             DiskRestoreStats* stats);
+  /// Recovers the first `file_bytes` bytes of the backup file at `path` —
+  /// its size when the restore began; rows appended since are ones the
+  /// leaf ingested itself — into `table`, and adds the read and translate
+  /// (decode + rebuild + recompress) costs to `stats`. Rows are appended as
+  /// AddRows would append them: sealed into blocks as the write buffer
+  /// fills, the rest left in the buffer. `now` is used as block creation
+  /// time; >0 `throttle_bytes_per_sec` paces the read to model a slow disk.
+  static Status RecoverTable(const std::string& path, uint64_t file_bytes,
+                             Table* table, uint64_t throttle_bytes_per_sec,
+                             int64_t now, DiskRestoreStats* stats);
+
+  /// The record loop both backup formats share (the .bak file, the .cols
+  /// tail): decodes each row-batch record left in `file` straight into
+  /// column vectors and appends them to `table` (Table::AddColumns). A torn
+  /// or corrupt record ends the replay, keeping the clean prefix, and is
+  /// counted in `stats->records_dropped`.
+  static Status ReplayRecords(ChunkedFileReader* file, Table* table,
+                              int64_t now, DiskRestoreStats* stats);
 };
 
 }  // namespace scuba

@@ -292,7 +292,7 @@ StatusOr<std::unique_ptr<RowBlock>> ColumnarBackupReader::ParseBlock(
 
 StatusOr<ColumnarBackupReader::TableBackup> ColumnarBackupReader::ReadTable(
     const std::string& dir, const std::string& table, size_t max_blocks,
-    uint64_t throttle_bytes_per_sec) {
+    uint64_t throttle_bytes_per_sec, int64_t now) {
   ColumnarMetrics& metrics = ColumnarMetrics::Get();
   TableBackup backup;
 
@@ -328,31 +328,23 @@ StatusOr<ColumnarBackupReader::TableBackup> ColumnarBackupReader::ReadTable(
   const std::string tail_name =
       table + ".tail." + std::to_string(backup.blocks.size());
   if (FileExists(dir + "/" + tail_name)) {
-    Stopwatch tail_read;
-    ByteBuffer tail;
-    SCUBA_RETURN_IF_ERROR(
-        ReadFileFully(dir + "/" + tail_name, &tail, throttle_bytes_per_sec));
-    const int64_t tail_read_micros = tail_read.ElapsedMicros();
-    stats.read_micros += tail_read_micros;
-    stats.bytes_read += tail.size();
-
-    Slice tail_input = tail.AsSlice();
-    if (tail_input.size() >= kTailHeaderSize &&
-        ByteBuffer::DecodeU32(tail_input.data()) == kTailMagic) {
-      tail_input.RemovePrefix(kTailHeaderSize);
-      for (;;) {
-        std::vector<Row> rows;
-        Status s = backup_format::ReadRowBatchRecord(&tail_input, &rows);
-        if (s.IsNotFound()) break;
-        if (s.IsCorruption()) {
-          ++stats.records_dropped;
-          break;
-        }
-        SCUBA_RETURN_IF_ERROR(s);
-        for (Row& row : rows) backup.tail_rows.push_back(std::move(row));
-      }
+    SCUBA_ASSIGN_OR_RETURN(
+        ChunkedFileReader tail,
+        ChunkedFileReader::Open(dir + "/" + tail_name, UINT64_MAX,
+                                throttle_bytes_per_sec));
+    Slice header;
+    if (tail.remaining() >= kTailHeaderSize) {
+      SCUBA_RETURN_IF_ERROR(tail.Read(kTailHeaderSize, &header));
     }
-    stats.translate_micros -= tail_read_micros;
+    if (header.size() == kTailHeaderSize &&
+        ByteBuffer::DecodeU32(header.data()) == kTailMagic) {
+      backup.tail = std::make_unique<Table>(table);
+      SCUBA_RETURN_IF_ERROR(
+          BackupReader::ReplayRecords(&tail, backup.tail.get(), now, &stats));
+    }
+    stats.read_micros += tail.read_micros();
+    stats.bytes_read += tail.bytes_read();
+    stats.translate_micros -= tail.read_micros();
   }
   SCUBA_ASSIGN_OR_RETURN(std::vector<std::string> all_files,
                          ListFiles(dir, ""));
@@ -364,7 +356,7 @@ StatusOr<ColumnarBackupReader::TableBackup> ColumnarBackupReader::ReadTable(
   stats.translate_micros += translate_watch.ElapsedMicros();
 
   metrics.bytes_read->Add(stats.bytes_read);
-  metrics.tail_rows->Add(backup.tail_rows.size());
+  metrics.tail_rows->Add(backup.tail != nullptr ? backup.tail->RowCount() : 0);
   metrics.records_dropped->Add(stats.records_dropped);
   metrics.read_micros->Record(static_cast<uint64_t>(stats.read_micros));
   return backup;

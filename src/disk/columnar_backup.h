@@ -107,7 +107,10 @@ class ColumnarBackupReader {
   struct TableBackup {
     ByteBuffer contents;          // the .cols file; every BlockRef aliases it
     std::vector<BlockRef> blocks;  // the clean prefix of block records
-    std::vector<Row> tail_rows;    // rows of the matching tail.<blocks>
+    /// The matching tail.<blocks> replayed into a table of its own — in
+    /// its write buffer, the same way a .bak translate leaves its tail —
+    /// or null when there is no such tail.
+    std::unique_ptr<Table> tail;
     /// Translation here is the envelope walk and the tail decode; a torn
     /// or corrupt record may end the .cols file and the tail (0-2 drops).
     DiskRestoreStats stats;
@@ -117,13 +120,15 @@ class ColumnarBackupReader {
   /// records, stopping at the first torn or corrupt one and after at most
   /// `max_blocks` — the cut a caller applies when a block's payload failed
   /// to translate on an earlier attempt. Then replays EXACTLY
-  /// `tail.<blocks kept>` (the seal protocol's match rule); any other tail
-  /// generation is stale and ignored. >0 `throttle_bytes_per_sec` paces
-  /// the reads.
+  /// `tail.<blocks kept>` (the seal protocol's match rule) through the
+  /// .bak record loop (BackupReader::ReplayRecords), with `now` as the
+  /// creation time of any block it seals; any other tail generation is
+  /// stale and ignored. >0 `throttle_bytes_per_sec` paces the reads.
   static StatusOr<TableBackup> ReadTable(const std::string& dir,
                                          const std::string& table,
                                          size_t max_blocks,
-                                         uint64_t throttle_bytes_per_sec);
+                                         uint64_t throttle_bytes_per_sec,
+                                         int64_t now);
 
   /// Translates one block record's payload into a heap row block — a
   /// single memcpy per column, callable from any thread. With

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/byte_buffer.h"
+#include "util/slice.h"
 #include "util/status.h"
 
 namespace scuba {
@@ -46,6 +47,58 @@ class AppendableFile {
 /// machine whose local filesystem is much faster.
 Status ReadFileFully(const std::string& path, ByteBuffer* out,
                      uint64_t throttle_bytes_per_sec = 0);
+
+/// Reads a file front to back in pieces of kPieceBytes, holding only the
+/// bytes not yet handed out plus one piece — so a recovery streams a backup
+/// file instead of reading it whole. The length is fixed at Open: bytes
+/// appended later are never read. Reads are paced like ReadFileFully's,
+/// and read_micros() charges only the reads and their pacing, never the
+/// caller's work between Reads, so a read/translate split stays exact.
+class ChunkedFileReader {
+ public:
+  static constexpr size_t kPieceBytes = size_t{1} << 20;
+
+  /// Opens `path` to read at most its first `limit` bytes.
+  static StatusOr<ChunkedFileReader> Open(const std::string& path,
+                                          uint64_t limit,
+                                          uint64_t throttle_bytes_per_sec);
+
+  ChunkedFileReader(ChunkedFileReader&& other) noexcept;
+  ChunkedFileReader& operator=(ChunkedFileReader&& other) = delete;
+  ChunkedFileReader(const ChunkedFileReader&) = delete;
+  ChunkedFileReader& operator=(const ChunkedFileReader&) = delete;
+  ~ChunkedFileReader();
+
+  const std::string& path() const { return path_; }
+  /// Bytes of the (limited) file not yet handed out by Read.
+  uint64_t remaining() const { return size_ - position_; }
+
+  /// Hands out the next `n` bytes (n <= remaining()) as `*out`, valid until
+  /// the next Read, reading further pieces as needed.
+  Status Read(size_t n, Slice* out);
+
+  uint64_t bytes_read() const { return bytes_read_; }
+  int64_t read_micros() const { return read_micros_; }
+
+ private:
+  ChunkedFileReader(std::string path, int fd, uint64_t size,
+                    uint64_t throttle_bytes_per_sec)
+      : path_(std::move(path)),
+        fd_(fd),
+        size_(size),
+        throttle_(throttle_bytes_per_sec) {}
+
+  std::string path_;
+  int fd_ = -1;
+  uint64_t size_ = 0;
+  uint64_t throttle_ = 0;
+  uint64_t position_ = 0;  // bytes handed out
+  std::vector<uint8_t> buffer_;
+  size_t begin_ = 0;  // buffer_[begin_, end_) is read but not handed out
+  size_t end_ = 0;
+  uint64_t bytes_read_ = 0;
+  int64_t read_micros_ = 0;
+};
 
 /// True if `path` exists.
 bool FileExists(const std::string& path);

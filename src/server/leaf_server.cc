@@ -254,7 +254,7 @@ Status LeafServer::StartInstantRestoreLocked(int64_t now) {
     return s;
   };
   auto tables_or = CreateRestoreTables(
-      *source, config_.default_table_limits, now, &leaf_map_);
+      source.get(), config_.default_table_limits, now, &leaf_map_);
   if (!tables_or.ok()) return fail(tables_or.status());
   for (Table* table : tables_or.value()) {
     InstallSealObserver(table);

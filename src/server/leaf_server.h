@@ -174,7 +174,7 @@ class LeafServer {
                                      const QueryContext& ctx);
 
   /// Applies retention limits across tables (delete requests). Returns
-  /// blocks dropped; 0 when the state forbids deletes.
+  /// blocks and write buffers dropped; 0 when the state forbids deletes.
   size_t ExpireData();
 
   /// Clean shutdown via shared memory (Fig 5a/5c + Fig 6):

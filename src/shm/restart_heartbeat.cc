@@ -152,6 +152,8 @@ void RestartHeartbeat::SetPhase(RestartPhase phase) {
 }
 
 void RestartHeartbeat::SetBytesTotal(uint64_t total) {
+  // A new total starts a new copy: progress counts from zero again.
+  Slot(3)->store(0, std::memory_order_relaxed);
   Slot(4)->store(total, std::memory_order_relaxed);
   Seal();
   Beat();

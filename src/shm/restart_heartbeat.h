@@ -80,7 +80,9 @@ class RestartHeartbeat {
   /// stamp. Called a handful of times per restart.
   void SetPhase(RestartPhase phase);
 
-  /// Publishes the total bytes this restart op will move (slow field).
+  /// Publishes the total bytes this restart op will move (slow field) and
+  /// restarts the progress counter from zero, so each copy — a restore,
+  /// then a later shutdown in the same generation — reads 0..1.
   void SetBytesTotal(uint64_t total);
 
   /// Adds to the free-running progress counter and refreshes the stamp.

@@ -14,24 +14,5 @@ void AppendU64(ByteBuffer* out, uint64_t v) {
   out->Append(buf, static_cast<size_t>(n));
 }
 
-bool ReadU64(Slice* in, uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  size_t i = 0;
-  const size_t limit = in->size();
-  while (i < limit && shift <= 63) {
-    uint8_t byte = (*in)[i];
-    ++i;
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      in->RemovePrefix(i);
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
 }  // namespace varint
 }  // namespace scuba

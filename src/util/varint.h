@@ -29,8 +29,31 @@ inline void AppendI64(ByteBuffer* out, int64_t v) {
 
 /// Decodes a varint from the front of `*in`, advancing it past the encoding.
 /// Returns false on truncated or over-long input (in which case *in is
-/// unspecified).
-bool ReadU64(Slice* in, uint64_t* value);
+/// unspecified). Inline, with one-byte values (the common case) skipping
+/// the loop: the .bak decode calls it once per integer it recovers.
+inline bool ReadU64(Slice* in, uint64_t* value) {
+  const size_t limit = in->size();
+  if (limit > 0 && (*in)[0] < 0x80) {
+    *value = (*in)[0];
+    in->RemovePrefix(1);
+    return true;
+  }
+  uint64_t result = 0;
+  int shift = 0;
+  size_t i = 0;
+  while (i < limit && shift <= 63) {
+    uint8_t byte = (*in)[i];
+    ++i;
+    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      in->RemovePrefix(i);
+      return true;
+    }
+    shift += 7;
+  }
+  return false;
+}
 
 inline bool ReadI64(Slice* in, int64_t* value) {
   uint64_t raw = 0;

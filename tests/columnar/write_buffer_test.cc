@@ -134,5 +134,117 @@ TEST(WriteBufferTest, SealResetsForReuse) {
   EXPECT_EQ((*block)->header().row_count, 1u);
 }
 
+// The column form AppendColumns takes, built the way Seal builds it.
+void ToColumns(const std::vector<Row>& rows, Schema* schema,
+               std::vector<ColumnValues>* columns) {
+  WriteBuffer scratch;
+  for (const Row& row : rows) ASSERT_TRUE(scratch.AddRow(row).ok());
+  scratch.TakeColumns(schema, columns);
+}
+
+TEST(WriteBufferTest, AppendColumnsMatchesAddRow) {
+  // Dense rows in a schema order unlike the buffered one, with a new
+  // column and empty, short and >15-byte strings.
+  std::vector<Row> batch;
+  for (int i = 0; i < 3; ++i) {
+    Row row;
+    row.Set("error_msg",
+            std::string(i == 0   ? ""
+                        : i == 1 ? "x"
+                                 : "a string longer than fifteen bytes"));
+    row.SetTime(10 - i);
+    row.Set("status", int64_t{500 + i});
+    row.Set("service", std::string("svc"));
+    batch.push_back(row);
+  }
+  WriteBuffer rowwise;
+  WriteBuffer colwise;
+  ASSERT_TRUE(rowwise.AddRow(MakeRow(20, "a", 200)).ok());
+  ASSERT_TRUE(colwise.AddRow(MakeRow(20, "a", 200)).ok());
+  for (const Row& row : batch) ASSERT_TRUE(rowwise.AddRow(row).ok());
+
+  Schema schema;
+  std::vector<ColumnValues> columns;
+  ToColumns(batch, &schema, &columns);
+  auto taken = colwise.AppendColumns(schema, &columns, 0);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(*taken, 3u);
+
+  EXPECT_EQ(colwise.row_count(), rowwise.row_count());
+  EXPECT_EQ(colwise.EstimatedBytes(), rowwise.EstimatedBytes());
+  EXPECT_EQ(colwise.min_time(), 8);
+  EXPECT_EQ(colwise.max_time(), 20);
+  std::vector<Row> want = rowwise.MaterializeRows();
+  std::vector<Row> got = colwise.MaterializeRows();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].fields, want[i].fields) << i;
+  }
+}
+
+TEST(WriteBufferTest, AppendColumnsStopsAtRowCap) {
+  std::vector<Row> rows(kMaxRowsPerBlock + 10, MakeRow(1, "x", 1));
+  Schema schema;
+  std::vector<ColumnValues> columns;
+  ToColumns(rows, &schema, &columns);
+  WriteBuffer buffer;
+  auto taken = buffer.AppendColumns(schema, &columns, 0);
+  ASSERT_TRUE(taken.ok());
+  EXPECT_EQ(*taken, kMaxRowsPerBlock);
+  EXPECT_TRUE(buffer.Full());
+  // A full buffer takes nothing until sealed.
+  EXPECT_EQ(buffer.AppendColumns(schema, &columns, *taken).value(), 0u);
+  ASSERT_TRUE(buffer.Seal(0).ok());
+  EXPECT_EQ(buffer.AppendColumns(schema, &columns, *taken).value(), 10u);
+  EXPECT_EQ(buffer.row_count(), 10u);
+}
+
+TEST(WriteBufferTest, AppendColumnsRejectsBadBatchAtomically) {
+  WriteBuffer buffer;
+  ASSERT_TRUE(buffer.AddRow(MakeRow(1, "a", 200)).ok());
+  auto append = [&](std::vector<ColumnDef> defs,
+                    std::vector<ColumnValues> columns) {
+    return buffer.AppendColumns(Schema(std::move(defs)), &columns, 0).status();
+  };
+  using Ints = std::vector<int64_t>;
+  using Strings = std::vector<std::string>;
+  // The buffered column's type differs.
+  EXPECT_TRUE(append({{"time", ColumnType::kInt64},
+                      {"status", ColumnType::kString}},
+                     {Ints{2}, Strings{"five hundred"}})
+                  .IsInvalidArgument());
+  // No int64 time column.
+  EXPECT_TRUE(append({{"status", ColumnType::kInt64}}, {Ints{2}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(append({{"time", ColumnType::kDouble}},
+                     {std::vector<double>{2.0}})
+                  .IsInvalidArgument());
+  // A repeated name, values unlike the declared type, ragged columns.
+  EXPECT_TRUE(append({{"time", ColumnType::kInt64},
+                      {"time", ColumnType::kInt64}},
+                     {Ints{2}, Ints{3}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(append({{"time", ColumnType::kInt64}, {"x", ColumnType::kInt64}},
+                     {Ints{2}, Strings{"x"}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(append({{"time", ColumnType::kInt64}, {"x", ColumnType::kInt64}},
+                     {Ints{2, 3}, Ints{4}})
+                  .IsInvalidArgument());
+  EXPECT_EQ(buffer.row_count(), 1u);  // buffer unchanged
+  EXPECT_FALSE(buffer.ColumnTypeOf("x").has_value());
+}
+
+TEST(WriteBufferTest, MoveLeavesSourceEmpty) {
+  WriteBuffer buffer;
+  ASSERT_TRUE(buffer.AddRow(MakeRow(1, "a", 200)).ok());
+  WriteBuffer moved = std::move(buffer);
+  EXPECT_EQ(moved.row_count(), 1u);
+  EXPECT_TRUE(buffer.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(buffer.EstimatedBytes(), 0u);
+  EXPECT_FALSE(buffer.ColumnTypeOf("service").has_value());
+  ASSERT_TRUE(buffer.AddRow(MakeRow(2, "b", 200)).ok());
+  EXPECT_EQ(buffer.row_count(), 1u);
+}
+
 }  // namespace
 }  // namespace scuba

@@ -129,10 +129,13 @@ TEST(ColumnarBackupTest, SealedBlocksAndTailRoundTrip) {
 
   // Data integrity: decode a column from a recovered block.
   ColumnarBackupReader::TableBackup backup =
-      ColumnarBackupReader::ReadTable(dir.path(), "events", SIZE_MAX, 0)
+      ColumnarBackupReader::ReadTable(dir.path(), "events", SIZE_MAX, 0,
+                                      /*now=*/0)
           .value();
   ASSERT_EQ(backup.blocks.size(), 2u);
-  EXPECT_EQ(backup.tail_rows.size(), 77u);
+  ASSERT_NE(backup.tail, nullptr);
+  EXPECT_EQ(backup.tail->num_row_blocks(), 0u);
+  EXPECT_EQ(backup.tail->write_buffer().row_count(), 77u);
   auto block = ColumnarBackupReader::ParseBlock(backup.blocks[0].payload,
                                                 /*verify_checksums=*/true);
   ASSERT_TRUE(block.ok()) << block.status().ToString();

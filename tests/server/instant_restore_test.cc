@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <thread>
 
@@ -390,6 +392,188 @@ TEST(InstantRestoreTest, DiskRecoveryReportsReadAndTranslateInBothModes) {
       leaf.Crash();
     }
   }
+}
+
+// What a leaf holds for one table: its layout and the full query's digest.
+struct Layout {
+  size_t blocks = 0;
+  uint64_t buffered_rows = 0;
+  uint64_t rows = 0;
+  uint32_t digest = 0;
+};
+
+Layout LayoutOf(LeafServer& leaf, const std::string& table) {
+  Layout out;
+  for (const LeafServer::TableStats& stats : leaf.GetStats().tables) {
+    if (stats.name != table) continue;
+    out.blocks = stats.num_row_blocks;
+    out.buffered_rows = stats.buffered_rows;
+    out.rows = stats.row_count;
+  }
+  Query q = FullQuery(table);
+  auto result = leaf.ExecuteQuery(q);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (result.ok()) out.digest = ResultDigest(*result, q.aggregates);
+  return out;
+}
+
+void WaitAlive(const LeafServer& leaf) {
+  for (int i = 0; i < 10000 && leaf.state() != LeafState::kAlive; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(leaf.state(), LeafState::kAlive);
+}
+
+// Ingests `rows` rows into "events" the way a tailer does, in 5,000-row
+// batches: the 65,536-row seal falls inside a batch.
+void IngestEvents(LeafServer* leaf, size_t rows, int64_t start_time) {
+  for (size_t done = 0; done < rows; done += 5000) {
+    ASSERT_TRUE(leaf->AddRows("events",
+                              MakeRows(std::min<size_t>(5000, rows - done),
+                                       start_time +
+                                           static_cast<int64_t>(done / 10),
+                                       /*seed=*/done))
+                    .ok());
+  }
+}
+
+// A leaf that crashes with a non-empty write buffer comes back from its
+// .bak with the crashed leaf's layout — the blocks it had sealed and the
+// rows it still buffered, unsealed — in both modes, and so answers with
+// the crashed leaf's exact digest.
+TEST(InstantRestoreTest, RowMajorCrashKeepsTheWriteBufferLayout) {
+  ShmNamespace ns("ir_layout");
+  TempDir dir("ir_layout");
+  Layout crashed;
+  {
+    LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                               /*memory_recovery=*/false, /*instant=*/false));
+    ASSERT_TRUE(leaf.Start().ok());
+    IngestEvents(&leaf, 70000, 1000);
+    crashed = LayoutOf(leaf, "events");
+    leaf.Crash();
+  }
+  ASSERT_EQ(crashed.blocks, 1u);
+  ASSERT_EQ(crashed.buffered_rows, 70000u - kMaxRowsPerBlock);
+
+  for (bool instant : {false, true}) {
+    SCOPED_TRACE(instant ? "instant" : "blocking");
+    LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                               /*memory_recovery=*/false, instant));
+    auto started = leaf.Start();
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    EXPECT_EQ(started->source, RecoverySource::kDisk);
+    WaitAlive(leaf);
+    Layout recovered = LayoutOf(leaf, "events");
+    EXPECT_EQ(recovered.blocks, crashed.blocks);
+    EXPECT_EQ(recovered.buffered_rows, crashed.buffered_rows);
+    EXPECT_EQ(recovered.rows, crashed.rows);
+    EXPECT_EQ(recovered.digest, crashed.digest);
+    leaf.Crash();
+  }
+}
+
+// Rows ingested while an instant .bak restore runs land after the file's
+// rows, exactly as if they had arrived after a blocking restore — and are
+// not replayed from the file they were also appended to.
+TEST(InstantRestoreTest, RowMajorIngestDuringRestoreFollowsTheFilesRows) {
+  ShmNamespace ns("ir_order");
+  TempDir dir("ir_order");
+  TempDir copy("ir_order_copy");
+  {
+    LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                               /*memory_recovery=*/false, /*instant=*/false));
+    ASSERT_TRUE(leaf.Start().ok());
+    IngestEvents(&leaf, 70000, 1000);
+    leaf.Crash();
+  }
+  std::filesystem::copy(dir.path() + "/leaf_0", copy.path() + "/leaf_0");
+  const std::vector<Row> fresh = MakeRows(300, 90000, /*seed=*/5);
+
+  Layout instant;
+  {
+    LeafServerConfig config = MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                                         /*memory_recovery=*/false,
+                                         /*instant=*/true);
+    // A slow disk keeps the .bak unit loading while the rows arrive.
+    config.disk_throttle_bytes_per_sec =
+        FileSize(dir.path() + "/leaf_0/events.bak") * 2;
+    LeafServer leaf(config);
+    ASSERT_TRUE(leaf.Start().ok());
+    ASSERT_EQ(leaf.state(), LeafState::kRestoring);
+    ASSERT_TRUE(leaf.AddRows("events", fresh).ok());
+    ASSERT_EQ(leaf.state(), LeafState::kRestoring);
+    WaitAlive(leaf);
+    instant = LayoutOf(leaf, "events");
+    leaf.Crash();
+  }
+  Layout blocking;
+  {
+    LeafServer leaf(MakeConfig(ns, copy, BackupFormatKind::kRowMajor,
+                               /*memory_recovery=*/false, /*instant=*/false));
+    ASSERT_TRUE(leaf.Start().ok());
+    ASSERT_TRUE(leaf.AddRows("events", fresh).ok());
+    blocking = LayoutOf(leaf, "events");
+    leaf.Crash();
+  }
+  EXPECT_EQ(instant.rows, 70300u);
+  EXPECT_EQ(instant.rows, blocking.rows);
+  EXPECT_EQ(instant.blocks, blocking.blocks);
+  EXPECT_EQ(instant.buffered_rows, blocking.buffered_rows);
+  EXPECT_EQ(instant.digest, blocking.digest);
+}
+
+// A field whose type changed across the crash: rows ingested during an
+// instant .bak restore carry "status" as a string while the file's tail
+// buffers it as int64. The tail is sealed into a block of its own ahead of
+// them, and the leaf keeps every row.
+TEST(InstantRestoreTest, RowMajorIngestOfAnotherTypeDuringRestoreKeepsRows) {
+  ShmNamespace ns("ir_retype");
+  TempDir dir("ir_retype");
+  Layout crashed;
+  {
+    LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                               /*memory_recovery=*/false, /*instant=*/false));
+    ASSERT_TRUE(leaf.Start().ok());
+    IngestEvents(&leaf, 70000, 1000);
+    crashed = LayoutOf(leaf, "events");
+    leaf.Crash();
+  }
+  std::vector<Row> fresh = MakeRows(300, 90000, /*seed=*/5);
+  for (Row& row : fresh) {
+    for (auto& [name, value] : row.fields) {
+      if (name == "status") value = std::string("ok");
+    }
+  }
+
+  LeafServerConfig config = MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                                       /*memory_recovery=*/false,
+                                       /*instant=*/true);
+  // A slow disk keeps the .bak unit loading while the rows arrive.
+  config.disk_throttle_bytes_per_sec =
+      FileSize(dir.path() + "/leaf_0/events.bak") * 2;
+  LeafServer leaf(config);
+  ASSERT_TRUE(leaf.Start().ok());
+  ASSERT_EQ(leaf.state(), LeafState::kRestoring);
+  ASSERT_TRUE(leaf.AddRows("events", fresh).ok());
+  ASSERT_EQ(leaf.state(), LeafState::kRestoring);
+  WaitAlive(leaf);
+  LeafServer::TableStats events;
+  for (const LeafServer::TableStats& stats : leaf.GetStats().tables) {
+    if (stats.name == "events") events = stats;
+  }
+  EXPECT_EQ(events.num_row_blocks, crashed.blocks + 1);
+  EXPECT_EQ(events.buffered_rows, 300u);
+  EXPECT_EQ(events.row_count, 70300u);
+  Query count;
+  count.table = "events";
+  count.aggregates = {Count()};
+  auto result = leaf.ExecuteQuery(count);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<ResultRow> rows = result->Finalize(count.aggregates);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].aggregates[0], 70300.0);
+  leaf.Crash();
 }
 
 TEST(InstantRestoreTest, FreshLeafFallsThroughToBlockingPath) {

@@ -146,13 +146,18 @@ TEST(LeafServerTest, ExpireDataHonorsLimits) {
   LeafServer leaf(config);
   ASSERT_TRUE(leaf.Start().ok());
 
-  // Rows at time ~1000: already older than 60s at clock time 2000.
+  // Rows at time ~1000: already older than 60s at clock time 2000. A write
+  // buffer whose newest row is past the age limit is dropped whole, just
+  // as such a block is.
   ASSERT_TRUE(leaf.AddRows("events", MakeRows(100, 1000)).ok());
-  // Must be sealed into a block before whole-block expiry can drop it.
   clock.AdvanceMicros(1000000);
-  // Force a seal by shutting down? No: use many rows instead. Simpler:
-  // expire only drops sealed blocks; buffered rows stay.
+  EXPECT_EQ(leaf.ExpireData(), 1u);
+  EXPECT_EQ(leaf.RowCount(), 0u);
+  // A buffer holding one row still inside the limit stays.
+  ASSERT_TRUE(leaf.AddRows("events", MakeRows(100, 1000)).ok());
+  ASSERT_TRUE(leaf.AddRows("events", MakeRows(1, 1990)).ok());
   EXPECT_EQ(leaf.ExpireData(), 0u);
+  EXPECT_EQ(leaf.RowCount(), 101u);
 
   // Fill enough rows to seal a block, then expire it.
   LeafServerConfig config2 = MakeConfig(ns, dir, 1);

@@ -171,5 +171,32 @@ TEST_F(RestartEventsTest, HeartbeatAgreesWithLastPhaseFrame) {
   ExpectSinksAgree(RestartPhase::kAlive);
 }
 
+// Each copy counts its heartbeat progress from zero: a leaf that restored
+// from shm and then shuts down reads at most 1.0 — not its restore bytes
+// plus its shutdown bytes over the shutdown's total.
+TEST_F(RestartEventsTest, ProgressRestartsWithEachCopy) {
+  {
+    LeafServer leaf(MakeConfig());
+    ASSERT_TRUE(leaf.Start().ok());
+    ASSERT_TRUE(leaf.AddRows("events", MakeRows(20000)).ok());
+    ShutdownStats stats;
+    ASSERT_TRUE(leaf.ShutdownToSharedMemory(&stats).ok());
+  }
+  LeafServer leaf(MakeConfig());
+  auto started = leaf.Start();
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  ASSERT_EQ(started->source, RecoverySource::kSharedMemory);
+  ShutdownStats stats;
+  ASSERT_TRUE(leaf.ShutdownToSharedMemory(&stats).ok());
+
+  auto reading = RestartHeartbeat::ReadOnce(ns_.prefix(), 0);
+  ASSERT_TRUE(reading.ok()) << reading.status().ToString();
+  EXPECT_EQ(RestartPhaseName(reading->phase),
+            RestartPhaseName(RestartPhase::kExited));
+  EXPECT_GT(reading->bytes_total, 0u);
+  EXPECT_GT(reading->Progress(), 0.0);
+  EXPECT_LE(reading->Progress(), 1.0);
+}
+
 }  // namespace
 }  // namespace scuba
