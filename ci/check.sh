@@ -4,7 +4,7 @@
 # concurrency-sensitive targets under ThreadSanitizer and run the
 # core/shm/util/disk/query suites (the restore engine's — blocking and
 # instant, every source — parallel copy and parallel query scan data-race
-# surface).
+# surface) and the compress/columnar suites (concurrent block builds).
 #
 # Usage: ci/check.sh [jobs]
 set -euo pipefail
@@ -227,14 +227,17 @@ for suite in query_test columnar_test compress_test disk_test core_test; do
 done
 
 echo
-echo "=== TSan build + core/shm/util/disk/query/obs suites ==="
+echo "=== TSan build + core/shm/util/disk/query/obs/compress/columnar suites ==="
+# compress_test and columnar_test run whole: blocks are built concurrently
+# (leaves ingest on their own threads, the restore engine translates on its
+# copy workers), and LZ4's hash table is thread_local.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCUBA_TSAN=ON \
   >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
   --target util_test shm_test disk_test core_test query_test server_test \
-  obs_test load_test
+  obs_test load_test compress_test columnar_test
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'Crc32c|ThreadPool|ParallelFor|ByteBudget|ParallelCopy|ShutdownRestore|Shm|TableSegment|LeafMetadata|ParallelScan|VectorizedDiff|Aggregator|ObsMetrics|ObsTracer|RestartTrace|RestartHeartbeat|StatsExporter|SelfStats|QueryTrace|SlowQueryLog|ProfileDeterminism|PackedKernelFuzz|PackedScan|ResultCache|InstantRestore|SloTracker|Admission|LoadDriver|SnapshotDelta|FlightRecorder|Autopsy|RestartsTable|Hysteresis|AlertEngine|HealthMonitor|AlertsTable|RestartManager|BackupRoundTrip|ColumnarBackup|ColumnarLeaf|RoundTripProperty|LeafServer|RestartEvents'
+  -R 'Crc32c|ThreadPool|ParallelFor|ByteBudget|ParallelCopy|ShutdownRestore|Shm|TableSegment|LeafMetadata|ParallelScan|VectorizedDiff|Aggregator|ObsMetrics|ObsTracer|RestartTrace|RestartHeartbeat|StatsExporter|SelfStats|QueryTrace|SlowQueryLog|ProfileDeterminism|PackedKernelFuzz|PackedScan|ResultCache|InstantRestore|SloTracker|Admission|LoadDriver|SnapshotDelta|FlightRecorder|Autopsy|RestartsTable|Hysteresis|AlertEngine|HealthMonitor|AlertsTable|RestartManager|BackupRoundTrip|ColumnarBackup|ColumnarLeaf|RoundTripProperty|LeafServer|RestartEvents|Lz4|Bitpack|ChainTest|CodecTruncationFuzz|ColumnCodec|CodecProperty|DeltaTest|MiniBlock|ZigZagAll|DictionaryTest|EncoderDigest|LayoutVersion|RowBlock|WriteBuffer|TableTest|LeafMapTest|SchemaTest|SchemaEvolution|TypesTest'
 
 echo
 echo "=== OK ==="

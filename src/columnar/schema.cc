@@ -1,8 +1,33 @@
 #include "columnar/schema.h"
 
+#include <string_view>
+
+#include "compress/dictionary.h"
 #include "util/varint.h"
 
 namespace scuba {
+
+StatusOr<Schema> Schema::OfRows(const std::vector<Row>& rows) {
+  Schema schema;
+  // A field's code is its column index.
+  dictionary::CodeTable<std::string_view> names;
+  for (const Row& row : rows) {
+    if (!row.Time().has_value()) {
+      return Status::InvalidArgument("batch: row lacks an int64 'time' field");
+    }
+    for (const auto& [name, value] : row.fields) {
+      const ColumnType type = ValueType(value);
+      const uint32_t code = names.Intern(name);
+      if (code == schema.num_columns()) {
+        schema.AddColumn(name, type);
+      } else if (schema.column(code).type != type) {
+        return Status::InvalidArgument("batch: field '" + name +
+                                       "' has conflicting types");
+      }
+    }
+  }
+  return schema;
+}
 
 std::optional<size_t> Schema::FindColumn(std::string_view name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "columnar/row.h"
 #include "columnar/types.h"
 #include "util/byte_buffer.h"
 #include "util/slice.h"
@@ -42,6 +43,13 @@ class Schema {
   void AddColumn(std::string name, ColumnType type) {
     columns_.push_back(ColumnDef{std::move(name), type});
   }
+
+  /// The union schema of a batch of rows, columns in first-seen order.
+  /// InvalidArgument when a row lacks an int64 "time" field or a field
+  /// takes two types within the batch. The disk backup encodes a batch
+  /// under this schema, and the leaf checks it against the buffered
+  /// columns (WriteBuffer::ConflictsWith) before any row lands.
+  static StatusOr<Schema> OfRows(const std::vector<Row>& rows);
 
   /// Serialization: varint(count), then per column varint(name_len) + name
   /// + u8 type. Used in row block headers (heap/shm/disk all share it).

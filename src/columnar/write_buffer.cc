@@ -280,6 +280,14 @@ bool WriteBuffer::ConflictsWith(const WriteBuffer& other) const {
   return false;
 }
 
+bool WriteBuffer::ConflictsWith(const Schema& schema) const {
+  for (const ColumnDef& col : schema.columns()) {
+    std::optional<ColumnType> type = ColumnTypeOf(col.name);
+    if (type.has_value() && *type != col.type) return true;
+  }
+  return false;
+}
+
 std::vector<Row> WriteBuffer::MaterializeRows() const {
   std::vector<Row> rows(row_count_);
   for (const ColumnBuffer& col : columns_) {

@@ -83,9 +83,11 @@ class WriteBuffer {
   /// Type of a buffered column, or nullopt.
   std::optional<ColumnType> ColumnTypeOf(const std::string& name) const;
 
-  /// True when some column of `other` is buffered here with another type,
-  /// so other's rows could not be appended to this buffer.
+  /// True when some column of `other` (or of a batch with `schema`) is
+  /// buffered here with another type, so its rows could not be appended to
+  /// this buffer.
   bool ConflictsWith(const WriteBuffer& other) const;
+  bool ConflictsWith(const Schema& schema) const;
 
   /// Reconstructs the buffered rows (densified to the union schema, in
   /// arrival order). Used to re-seed the columnar backup's tail after a

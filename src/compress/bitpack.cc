@@ -14,35 +14,28 @@ int RequiredWidth(const std::vector<uint64_t>& values) {
 void Pack(const std::vector<uint64_t>& values, int width, ByteBuffer* out) {
   if (width == 0 || values.empty()) return;
   const size_t total_bytes = PackedSize(values.size(), width);
-  size_t start = out->AppendZeros(total_bytes);
-  uint8_t* dst = out->data() + start;
-  size_t out_pos = 0;
+  uint8_t* dst = out->PrepareAppend(total_bytes);
+  out->CommitAppend(total_bytes);
 
-  // Bit accumulator; invariant at the top of each iteration: acc_bits < 8.
+  // Bit accumulator, flushed a little-endian word at a time; invariant at
+  // the top of each iteration: acc_bits < 64.
   uint64_t acc = 0;
   int acc_bits = 0;
   for (uint64_t v : values) {
-    acc |= acc_bits == 0 ? v : (v << acc_bits);
-    int total = acc_bits + width;
-    if (total > 64) {
-      // acc is full up to bit 63; flush all 8 bytes, then keep v's high bits.
-      for (int k = 0; k < 8; ++k) {
-        dst[out_pos++] = static_cast<uint8_t>(acc);
-        acc >>= 8;
-      }
-      int consumed = 64 - acc_bits;  // bits of v already flushed
-      acc = consumed == 64 ? 0 : (v >> consumed);
-      acc_bits = width - consumed;
-    } else {
-      acc_bits = total;
-    }
-    while (acc_bits >= 8) {
-      dst[out_pos++] = static_cast<uint8_t>(acc);
-      acc >>= 8;
-      acc_bits -= 8;
+    acc |= v << acc_bits;
+    acc_bits += width;
+    if (acc_bits >= 64) {
+      bit_util::StoreLE64(dst, acc);
+      dst += 8;
+      acc_bits -= 64;
+      // v's high acc_bits bits did not fit in the word just stored.
+      acc = acc_bits == 0 ? 0 : v >> (width - acc_bits);
     }
   }
-  if (acc_bits > 0) dst[out_pos++] = static_cast<uint8_t>(acc);
+  for (; acc_bits > 0; acc_bits -= 8) {
+    *dst++ = static_cast<uint8_t>(acc);
+    acc >>= 8;
+  }
 }
 
 Status Unpack(Slice input, int width, size_t count,

@@ -1,11 +1,13 @@
 #include "compress/column_codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "compress/bitpack.h"
 #include "compress/delta.h"
 #include "compress/dictionary.h"
 #include "compress/lz4.h"
+#include "util/bit_util.h"
 #include "util/varint.h"
 
 namespace scuba {
@@ -13,9 +15,17 @@ namespace column_codec {
 namespace {
 
 // A dictionary pays off when the column has few distinct values relative to
-// its row count. 4096 distinct values = 12-bit indexes.
+// its row count: at most 4096 (12-bit indexes), and at most one per
+// `rows_per_value` rows.
 constexpr size_t kMaxDictCardinality = 4096;
 constexpr size_t kMinRowsForDict = 16;
+
+// The most distinct values a dictionary of `n` rows may hold, or 0 when
+// the column is too short for one.
+size_t DictLimit(size_t n, size_t rows_per_value) {
+  return n < kMinRowsForDict ? 0
+                             : std::min(kMaxDictCardinality, n / rows_per_value);
+}
 
 // LZ4 is appended to a chain only when it shrinks the blob by at least 1/16.
 bool Lz4Helps(size_t raw, size_t compressed) {
@@ -55,11 +65,13 @@ ChainCode AppendStage(ChainCode chain, Stage stage) {
                                 (static_cast<ChainCode>(stage) << (4 * len)));
 }
 
-// Packs index/delta vectors as u8(width) + bitpacked values.
-void AppendPacked(const std::vector<uint64_t>& values, ByteBuffer* out) {
-  int width = bitpack::RequiredWidth(values);
+// Packs dictionary codes as u8(width) + bitpacked codes. Every code below
+// dict_size appears, so the width is that of the largest code.
+void AppendCodes(const std::vector<uint64_t>& codes, size_t dict_size,
+                 ByteBuffer* out) {
+  const int width = bit_util::BitWidth(dict_size - 1);
   out->AppendU8(static_cast<uint8_t>(width));
-  bitpack::Pack(values, width, out);
+  bitpack::Pack(codes, width, out);
 }
 
 Status ReadPacked(Slice* in, size_t count, std::vector<uint64_t>* values) {
@@ -122,15 +134,13 @@ EncodedColumn EncodeInt64(const std::vector<int64_t>& values) {
   EncodedColumn out;
   if (values.empty()) return out;
 
-  size_t distinct = dictionary::CountDistinct(values, kMaxDictCardinality);
-  if (values.size() >= kMinRowsForDict && distinct <= kMaxDictCardinality &&
-      distinct * 4 <= values.size()) {
-    std::vector<int64_t> dict_values;
-    std::vector<uint64_t> indexes =
-        dictionary::EncodeInts(values, &dict_values);
+  std::vector<uint64_t> codes;
+  std::vector<int64_t> dict_values;
+  const size_t limit = DictLimit(values.size(), 4);
+  if (limit > 0 && dictionary::Encode(values, limit, &codes, &dict_values)) {
     dictionary::SerializeIntDict(dict_values, &out.dict);
     out.dict_item_count = dict_values.size();
-    AppendPacked(indexes, &out.data);
+    AppendCodes(codes, dict_values.size(), &out.data);
     out.chain = MakeChain({Stage::kDictionary, Stage::kBitPack});
   } else {
     delta::EncodeMiniBlocks(values, &out.data);
@@ -182,15 +192,13 @@ EncodedColumn EncodeString(const std::vector<std::string>& values) {
   EncodedColumn out;
   if (values.empty()) return out;
 
-  size_t distinct = dictionary::CountDistinct(values, kMaxDictCardinality);
-  if (values.size() >= kMinRowsForDict && distinct <= kMaxDictCardinality &&
-      distinct * 2 <= values.size()) {
-    std::vector<std::string> dict_values;
-    std::vector<uint64_t> indexes =
-        dictionary::EncodeStrings(values, &dict_values);
+  std::vector<uint64_t> codes;
+  std::vector<std::string_view> dict_values;
+  const size_t limit = DictLimit(values.size(), 2);
+  if (limit > 0 && dictionary::Encode(values, limit, &codes, &dict_values)) {
     dictionary::SerializeStringDict(dict_values, &out.dict);
     out.dict_item_count = dict_values.size();
-    AppendPacked(indexes, &out.data);
+    AppendCodes(codes, dict_values.size(), &out.data);
     out.chain = MakeChain({Stage::kDictionary, Stage::kBitPack});
   } else {
     for (const std::string& v : values) {

@@ -1,46 +1,43 @@
 #include "compress/dictionary.h"
 
-#include <unordered_set>
-
 #include "util/varint.h"
 
 namespace scuba {
 namespace dictionary {
 
-std::vector<uint64_t> EncodeStrings(const std::vector<std::string>& values,
-                                    std::vector<std::string>* dict_values) {
-  dict_values->clear();
-  std::vector<uint64_t> indexes;
-  indexes.reserve(values.size());
-  // Keys are owned copies: views into dict_values would dangle for SSO
-  // strings when the vector reallocates.
-  std::unordered_map<std::string, uint64_t> lookup;
-  for (const std::string& v : values) {
-    auto [it, inserted] = lookup.try_emplace(v, dict_values->size());
-    if (inserted) dict_values->push_back(v);
-    indexes.push_back(it->second);
+namespace {
+
+template <typename Key, typename Value>
+bool EncodeUpTo(const std::vector<Value>& values, size_t limit,
+                std::vector<uint64_t>* codes, std::vector<Key>* dict) {
+  CodeTable<Key> table;
+  codes->resize(values.size());
+  uint64_t* out = codes->data();
+  for (const Value& v : values) {
+    const uint32_t code = table.Intern(Key(v));
+    if (code >= limit) return false;
+    *out++ = code;
   }
-  return indexes;
+  *dict = table.TakeKeys();
+  return true;
 }
 
-std::vector<uint64_t> EncodeInts(const std::vector<int64_t>& values,
-                                 std::vector<int64_t>* dict_values) {
-  dict_values->clear();
-  std::vector<uint64_t> indexes;
-  indexes.reserve(values.size());
-  std::unordered_map<int64_t, uint64_t> lookup;
-  for (int64_t v : values) {
-    auto [it, inserted] = lookup.try_emplace(v, dict_values->size());
-    if (inserted) dict_values->push_back(v);
-    indexes.push_back(it->second);
-  }
-  return indexes;
+}  // namespace
+
+bool Encode(const std::vector<std::string>& values, size_t limit,
+            std::vector<uint64_t>* codes, std::vector<std::string_view>* dict) {
+  return EncodeUpTo(values, limit, codes, dict);
 }
 
-void SerializeStringDict(const std::vector<std::string>& dict_values,
+bool Encode(const std::vector<int64_t>& values, size_t limit,
+            std::vector<uint64_t>* codes, std::vector<int64_t>* dict) {
+  return EncodeUpTo(values, limit, codes, dict);
+}
+
+void SerializeStringDict(const std::vector<std::string_view>& dict_values,
                          ByteBuffer* out) {
   varint::AppendU64(out, dict_values.size());
-  for (const std::string& v : dict_values) {
+  for (std::string_view v : dict_values) {
     varint::AppendU64(out, v.size());
     out->Append(v.data(), v.size());
   }
@@ -86,24 +83,6 @@ Status ParseIntDict(Slice input, std::vector<int64_t>* dict_values) {
     dict_values->push_back(v);
   }
   return Status::OK();
-}
-
-size_t CountDistinct(const std::vector<std::string>& values, size_t limit) {
-  std::unordered_set<std::string_view> seen;
-  for (const std::string& v : values) {
-    seen.insert(std::string_view(v));
-    if (seen.size() > limit) return limit + 1;
-  }
-  return seen.size();
-}
-
-size_t CountDistinct(const std::vector<int64_t>& values, size_t limit) {
-  std::unordered_set<int64_t> seen;
-  for (int64_t v : values) {
-    seen.insert(v);
-    if (seen.size() > limit) return limit + 1;
-  }
-  return seen.size();
 }
 
 }  // namespace dictionary

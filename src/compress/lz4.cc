@@ -1,6 +1,9 @@
 #include "compress/lz4.h"
 
+#include <bit>
 #include <cstring>
+
+#include "util/bit_util.h"
 
 namespace scuba {
 namespace lz4 {
@@ -12,47 +15,42 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kLastLiterals = 5;
 constexpr size_t kMatchFindLimitMargin = 12;
 constexpr size_t kMaxOffset = 65535;
+constexpr size_t kBias = kMaxOffset + 2;
 constexpr int kHashLog = 16;
-
-inline uint32_t Load32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
 
 inline uint32_t Hash(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashLog);
 }
 
-// Writes a length in the LZ4 extended-length scheme (255-run continuation).
-void AppendExtLength(ByteBuffer* out, size_t len) {
-  while (len >= 255) {
-    out->AppendU8(255);
-    len -= 255;
+// Length of the common prefix of a[0, limit) and b[0, limit), compared a
+// word at a time while a whole word fits.
+inline size_t CommonPrefix(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t n = 0;
+  while (n + 8 <= limit) {
+    const uint64_t diff = bit_util::LoadLE64(a + n) ^ bit_util::LoadLE64(b + n);
+    if (diff != 0) return n + (std::countr_zero(diff) >> 3);
+    n += 8;
   }
-  out->AppendU8(static_cast<uint8_t>(len));
+  while (n < limit && a[n] == b[n]) ++n;
+  return n;
 }
 
-void EmitSequence(ByteBuffer* out, const uint8_t* literals, size_t lit_len,
-                  size_t offset, size_t match_len) {
-  // Token: high nibble literal length, low nibble (match_len - kMinMatch).
-  size_t ml_code = match_len - kMinMatch;
-  uint8_t token = static_cast<uint8_t>(
-      (lit_len >= 15 ? 15 : lit_len) << 4 | (ml_code >= 15 ? 15 : ml_code));
-  out->AppendU8(token);
-  if (lit_len >= 15) AppendExtLength(out, lit_len - 15);
-  out->Append(literals, lit_len);
-  out->AppendU16(static_cast<uint16_t>(offset));
-  if (ml_code >= 15) AppendExtLength(out, ml_code - 15);
+// Writes a length in the LZ4 extended-length scheme (255-run continuation).
+inline uint8_t* PutExtLength(uint8_t* op, size_t len) {
+  for (; len >= 255; len -= 255) *op++ = 255;
+  *op++ = static_cast<uint8_t>(len);
+  return op;
 }
 
-void EmitFinalLiterals(ByteBuffer* out, const uint8_t* literals,
-                       size_t lit_len) {
-  uint8_t token =
-      static_cast<uint8_t>((lit_len >= 15 ? 15 : lit_len) << 4);
-  out->AppendU8(token);
-  if (lit_len >= 15) AppendExtLength(out, lit_len - 15);
-  out->Append(literals, lit_len);
+// Token (high nibble: literal length; low nibble: match_code, the match
+// length minus kMinMatch) and the literal run.
+inline uint8_t* PutLiterals(uint8_t* op, const uint8_t* literals,
+                            size_t lit_len, size_t match_code) {
+  *op++ = static_cast<uint8_t>((lit_len >= 15 ? 15 : lit_len) << 4 |
+                               (match_code >= 15 ? 15 : match_code));
+  if (lit_len >= 15) op = PutExtLength(op, lit_len - 15);
+  if (lit_len > 0) std::memcpy(op, literals, lit_len);
+  return op + lit_len;
 }
 
 }  // namespace
@@ -62,14 +60,20 @@ size_t CompressBound(size_t n) { return n + n / 255 + 16; }
 void Compress(Slice input, ByteBuffer* out) {
   const uint8_t* const base = input.data();
   const size_t n = input.size();
+  // Every sequence is written through `op` into room reserved once.
+  uint8_t* const start = out->PrepareAppend(CompressBound(n));
+  uint8_t* op = start;
 
   if (n < kMatchFindLimitMargin + kMinMatch) {
     // Too short to contain any match: one literal run.
-    EmitFinalLiterals(out, base, n);
+    op = PutLiterals(op, base, n, 0);
+    out->CommitAppend(static_cast<size_t>(op - start));
     return;
   }
 
-  // Hash table of absolute positions + 1 (0 = empty), valid within this block.
+  // Hash table of absolute positions + kBias (0 = empty), valid within
+  // this block. The bias puts an empty slot more than kMaxOffset behind
+  // every position, so one distance test rejects it.
   static thread_local uint32_t table[1u << kHashLog];
   std::memset(table, 0, sizeof(table));
 
@@ -79,36 +83,45 @@ void Compress(Slice input, ByteBuffer* out) {
   size_t pos = 0;
 
   while (pos < match_limit) {
-    // Find a match for the 4 bytes at pos.
-    uint32_t h = Hash(Load32(base + pos));
-    size_t candidate = table[h] == 0 ? SIZE_MAX : table[h] - 1;
-    table[h] = static_cast<uint32_t>(pos + 1);
-
-    if (candidate == SIZE_MAX || pos - candidate > kMaxOffset ||
-        Load32(base + candidate) != Load32(base + pos)) {
+    // Find a match for the 4 bytes at pos: the last position with the same
+    // hash, if it is in range and its 4 bytes are equal. Both tests fold
+    // into one branch (an out-of-range candidate reads pos itself and fails
+    // on the distance), so incompressible input does not mispredict on
+    // empty or stale slots.
+    const uint32_t word = bit_util::LoadLE32(base + pos);
+    const uint32_t h = Hash(word);
+    const size_t distance = pos + kBias - table[h];
+    table[h] = static_cast<uint32_t>(pos + kBias);
+    const size_t in_range = distance <= kMaxOffset;
+    const size_t candidate = pos - (distance & (0 - in_range));
+    const uint32_t mismatch = (bit_util::LoadLE32(base + candidate) ^ word) |
+                              static_cast<uint32_t>(in_range ^ 1);
+    if (mismatch != 0) {
       ++pos;
       continue;
     }
 
     // Extend the match forward (must not run into the end margin).
-    size_t match_len = kMinMatch;
-    const size_t max_len = input_end - pos;
-    while (match_len < max_len &&
-           base[candidate + match_len] == base[pos + match_len]) {
-      ++match_len;
-    }
-
-    EmitSequence(out, base + anchor, pos - anchor, pos - candidate, match_len);
-    pos += match_len;
+    const size_t match_code = CommonPrefix(base + candidate + kMinMatch,
+                                           base + pos + kMinMatch,
+                                           input_end - pos - kMinMatch);
+    const size_t offset = pos - candidate;
+    op = PutLiterals(op, base + anchor, pos - anchor, match_code);
+    *op++ = static_cast<uint8_t>(offset);
+    *op++ = static_cast<uint8_t>(offset >> 8);
+    if (match_code >= 15) op = PutExtLength(op, match_code - 15);
+    pos += kMinMatch + match_code;
     anchor = pos;
 
     // Seed the table inside the match so nearby repeats are found.
     if (pos < match_limit) {
-      table[Hash(Load32(base + pos - 2))] = static_cast<uint32_t>(pos - 1);
+      table[Hash(bit_util::LoadLE32(base + pos - 2))] =
+          static_cast<uint32_t>(pos - 2 + kBias);
     }
   }
 
-  EmitFinalLiterals(out, base + anchor, n - anchor);
+  op = PutLiterals(op, base + anchor, n - anchor, 0);
+  out->CommitAppend(static_cast<size_t>(op - start));
 }
 
 Status Decompress(Slice input, uint8_t* dst, size_t dst_size) {

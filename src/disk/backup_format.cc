@@ -1,7 +1,6 @@
 #include "disk/backup_format.h"
 
 #include <cstring>
-#include <unordered_map>
 
 #include "util/crc32c.h"
 #include "util/varint.h"
@@ -62,24 +61,7 @@ Status AppendRowBatchRecord(const std::vector<Row>& rows, ByteBuffer* out) {
     return Status::InvalidArgument("backup: empty row batch");
   }
 
-  // Union schema in first-seen order, with type conflict detection.
-  Schema schema;
-  std::unordered_map<std::string, ColumnType> types;
-  for (const Row& row : rows) {
-    if (!row.Time().has_value()) {
-      return Status::InvalidArgument("backup: row lacks int64 'time' field");
-    }
-    for (const auto& [name, value] : row.fields) {
-      auto it = types.find(name);
-      if (it == types.end()) {
-        types.emplace(name, ValueType(value));
-        schema.AddColumn(name, ValueType(value));
-      } else if (it->second != ValueType(value)) {
-        return Status::InvalidArgument("backup: field '" + name +
-                                       "' has conflicting types in batch");
-      }
-    }
-  }
+  SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::OfRows(rows));
 
   ByteBuffer payload;
   payload.AppendU8(kRecordTypeRowBatch);

@@ -89,6 +89,13 @@ Status BackupReader::ReplayRecords(ChunkedFileReader* file, Table* table,
       return Status::OK();
     }
     SCUBA_RETURN_IF_ERROR(s);
+    // A field whose type changed across a crash: the live leaf sealed the
+    // recovered tail into a block ahead of the newer rows
+    // (Table::AdoptRecovered), and the replay seals at the first record
+    // that could not be appended.
+    if (table->write_buffer().ConflictsWith(batch.schema)) {
+      SCUBA_RETURN_IF_ERROR(table->SealWriteBuffer(now));
+    }
     SCUBA_RETURN_IF_ERROR(
         table->AddColumns(batch.schema, std::move(batch.columns), now));
   }

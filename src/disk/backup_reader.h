@@ -52,7 +52,12 @@ class BackupReader {
 
   /// The record loop both backup formats share (the .bak file, the .cols
   /// tail): decodes each row-batch record left in `file` straight into
-  /// column vectors and appends them to `table` (Table::AddColumns). A torn
+  /// column vectors and appends them to `table` (Table::AddColumns). A
+  /// record whose field types conflict with the buffered rows first seals
+  /// them into a block, so every row comes back. Table::AdoptRecovered
+  /// sealed the live leaf at the restore's end instead, which the file
+  /// does not record: the block boundary is the same only when the first
+  /// batch ingested during the restore carried the changed field. A torn
   /// or corrupt record ends the replay, keeping the clean prefix, and is
   /// counted in `stats->records_dropped`.
   static Status ReplayRecords(ChunkedFileReader* file, Table* table,

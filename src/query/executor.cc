@@ -11,6 +11,7 @@
 #include <utility>
 #include <variant>
 
+#include "compress/dictionary.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/packed_column.h"
@@ -486,26 +487,22 @@ Status LoadBlockColumn(const RowBlock& block, const TypeMap& types,
 }
 
 // Dictionary form of the selected rows of a string column (every row when
-// `sel` is null), codes in first-appearance order. Unselected rows keep
-// code 0 and are never read.
+// `sel` is null), codes in first-appearance order: the column encoder's
+// table, without its distinct-value limit. Unselected rows keep code 0 and
+// are never read.
 scan::DictStringColumn InternStrings(const std::vector<std::string>& values,
                                      const scan::SelVector* sel) {
   scan::DictStringColumn out;
   out.codes.assign(values.size(), 0);
-  std::unordered_map<std::string_view, uint32_t> codes;
-  auto intern = [&](uint32_t row) {
-    auto [it, fresh] = codes.try_emplace(
-        values[row], static_cast<uint32_t>(out.dict.size()));
-    if (fresh) out.dict.push_back(values[row]);
-    out.codes[row] = it->second;
-  };
+  dictionary::CodeTable<std::string_view> table;
   if (sel == nullptr) {
     for (size_t row = 0; row < values.size(); ++row) {
-      intern(static_cast<uint32_t>(row));
+      out.codes[row] = table.Intern(values[row]);
     }
   } else {
-    for (uint32_t row : *sel) intern(row);
+    for (uint32_t row : *sel) out.codes[row] = table.Intern(values[row]);
   }
+  out.dict.assign(table.keys().begin(), table.keys().end());
   return out;
 }
 

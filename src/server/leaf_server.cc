@@ -502,18 +502,28 @@ Status LeafServer::AddRowsLocked(const std::string& table,
     return Status::Unavailable("table '" + table + "' not accepting adds");
   }
 
+  // The batch is checked whole before any row lands, on disk or in memory:
+  // every row has an int64 time, each field keeps one type in the batch
+  // (Schema::OfRows), and none conflicts with the table's buffered column
+  // (the test the disk replay seals on). A backed-up batch the table
+  // refused part-way would make the next disk recovery fail.
+  SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::OfRows(rows));
+  Table* t = leaf_map_.GetTable(table);
+  if (t != nullptr && t->write_buffer().ConflictsWith(schema)) {
+    return Status::InvalidArgument(
+        "table '" + table + "': batch conflicts with a buffered column type");
+  }
+  if (t == nullptr) {
+    SCUBA_ASSIGN_OR_RETURN(
+        t, leaf_map_.CreateTable(table, config_.default_table_limits));
+    InstallSealObserver(t);
+  }
   // Backup first ("Scuba stores backups of all incoming data to disk",
   // §4.1), then the in-memory store. System tables skip the backup: their
   // durability is the shm handoff, and their contents are regenerated by
   // the next process anyway — a disk copy would only amplify every export
   // into disk writes.
   if (!system) SCUBA_RETURN_IF_ERROR(BackupBatch(table, rows));
-  Table* t = leaf_map_.GetTable(table);
-  if (t == nullptr) {
-    SCUBA_ASSIGN_OR_RETURN(
-        t, leaf_map_.CreateTable(table, config_.default_table_limits));
-    InstallSealObserver(t);
-  }
   size_t blocks_before = t->num_row_blocks();
   SCUBA_RETURN_IF_ERROR(t->AddRows(rows, clock()->NowUnixSeconds()));
 

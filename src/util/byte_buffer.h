@@ -55,6 +55,16 @@ class ByteBuffer {
     return offset;
   }
 
+  /// Room for `n` more bytes past size(): returns where they start, with
+  /// unspecified contents. Writers fill a prefix of them, then
+  /// CommitAppend(k) appends the first k (k <= n). Any other call in
+  /// between invalidates the pointer.
+  uint8_t* PrepareAppend(size_t n) {
+    EnsureRoom(n);
+    return data_.get() + size_;
+  }
+  void CommitAppend(size_t n) { size_ += n; }
+
   /// Pads with zeros so that size() becomes a multiple of `alignment`
   /// (which must be a power of two).
   void AlignTo(size_t alignment) {

@@ -17,7 +17,7 @@
 #if defined(__SSE4_2__)
 #include <nmmintrin.h>
 
-#include <cstring>
+#include "util/bit_util.h"
 #endif
 
 namespace scuba {
@@ -74,12 +74,6 @@ inline uint64_t Shift(const ShiftTable& table, uint64_t crc) {
          table.t[2][(crc >> 16) & 0xFF] ^ table.t[3][(crc >> 24) & 0xFF];
 }
 
-inline uint64_t Load64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 // Consumes every whole block of three `lane`-byte lanes from *data.
 uint64_t ThreeLanes(uint64_t crc0, const ShiftTable& table, size_t lane,
                     const uint8_t** data, size_t* n) {
@@ -88,9 +82,9 @@ uint64_t ThreeLanes(uint64_t crc0, const ShiftTable& table, size_t lane,
     uint64_t crc1 = 0;
     uint64_t crc2 = 0;
     for (const uint8_t* end = p + lane; p < end; p += 8) {
-      crc0 = _mm_crc32_u64(crc0, Load64(p));
-      crc1 = _mm_crc32_u64(crc1, Load64(p + lane));
-      crc2 = _mm_crc32_u64(crc2, Load64(p + 2 * lane));
+      crc0 = _mm_crc32_u64(crc0, bit_util::LoadLE64(p));
+      crc1 = _mm_crc32_u64(crc1, bit_util::LoadLE64(p + lane));
+      crc2 = _mm_crc32_u64(crc2, bit_util::LoadLE64(p + 2 * lane));
     }
     crc0 = Shift(table, crc0) ^ crc1;
     crc0 = Shift(table, crc0) ^ crc2;
@@ -113,7 +107,9 @@ uint32_t ExtendSse42(uint32_t init_crc, const uint8_t* data, size_t n) {
   }
   crc = ThreeLanes(crc, tables.long_lane, kLongLane, &data, &n);
   crc = ThreeLanes(crc, tables.short_lane, kShortLane, &data, &n);
-  for (; n >= 8; n -= 8, data += 8) crc = _mm_crc32_u64(crc, Load64(data));
+  for (; n >= 8; n -= 8, data += 8) {
+    crc = _mm_crc32_u64(crc, bit_util::LoadLE64(data));
+  }
   for (; n > 0; --n) {
     crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *data++);
   }

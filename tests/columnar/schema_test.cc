@@ -21,6 +21,38 @@ TEST(SchemaTest, FindColumn) {
   EXPECT_FALSE(schema.FindColumn("missing").has_value());
 }
 
+TEST(SchemaTest, OfRowsIsTheBatchUnionInFirstSeenOrder) {
+  auto row = [](int64_t time, const std::string& field, Value value) {
+    Row r;
+    r.SetTime(time);
+    r.Set(field, std::move(value));
+    return r;
+  };
+  auto schema = Schema::OfRows({row(1, "x", int64_t{1}), row(2, "y", 1.5),
+                                row(3, "x", int64_t{2})});
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  EXPECT_EQ(*schema, Schema({{"time", ColumnType::kInt64},
+                             {"x", ColumnType::kInt64},
+                             {"y", ColumnType::kDouble}}));
+  // A field with two types within the batch, across rows laid out
+  // differently.
+  EXPECT_TRUE(Schema::OfRows({row(1, "x", int64_t{1}), row(2, "y", 1.5),
+                              row(3, "x", std::string("one"))})
+                  .status()
+                  .IsInvalidArgument());
+  Row untimed;
+  untimed.Set("x", int64_t{1});
+  EXPECT_TRUE(Schema::OfRows({row(1, "x", int64_t{1}), untimed})
+                  .status()
+                  .IsInvalidArgument());
+  Row string_time;
+  string_time.Set("time", std::string("noon"));
+  EXPECT_TRUE(Schema::OfRows({string_time}).status().IsInvalidArgument());
+  auto empty = Schema::OfRows({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->num_columns(), 0u);
+}
+
 TEST(SchemaTest, SerializationRoundTrip) {
   Schema schema = MakeSchema();
   ByteBuffer buf;

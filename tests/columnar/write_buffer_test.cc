@@ -100,6 +100,27 @@ TEST(WriteBufferTest, TypeConflictRejectsRowAtomically) {
   EXPECT_EQ(buffer.row_count(), 1u);  // buffer unchanged
 }
 
+TEST(WriteBufferTest, ConflictsWithSchemaComparesBufferedColumns) {
+  WriteBuffer buffer;
+  ASSERT_TRUE(buffer.AddRow(MakeRow(1, "a", 200)).ok());
+  auto schema_of = [](const std::vector<Row>& rows) {
+    auto schema = Schema::OfRows(rows);
+    EXPECT_TRUE(schema.ok()) << schema.status().ToString();
+    return schema.ok() ? *schema : Schema();
+  };
+  EXPECT_FALSE(buffer.ConflictsWith(schema_of({MakeRow(2, "b", 500)})));
+  Row other;
+  other.SetTime(2);
+  other.Set("other", std::string("x"));
+  EXPECT_FALSE(buffer.ConflictsWith(schema_of({other})));
+  // The buffered column conflicts also when the field first appears in a
+  // later row of the batch.
+  Row retyped;
+  retyped.SetTime(3);
+  retyped.Set("status", std::string("ok"));
+  EXPECT_TRUE(buffer.ConflictsWith(schema_of({other, retyped})));
+}
+
 TEST(WriteBufferTest, FullAtRowCap) {
   WriteBuffer buffer;
   Row row = MakeRow(1, "x", 1);

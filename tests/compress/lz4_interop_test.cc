@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "compress/lz4.h"
-#include "util/random.h"
+#include "compress/lz4_corpus.h"
 
 namespace scuba {
 namespace {
@@ -43,50 +43,9 @@ bool HaveReference() {
   return Reference().compress != nullptr && Reference().decompress != nullptr;
 }
 
-std::vector<std::string> Corpus() {
-  std::vector<std::string> inputs;
-  inputs.emplace_back();                       // empty
-  inputs.emplace_back("a");                    // tiny literal
-  inputs.emplace_back(100000, 'z');            // long run
-  {
-    std::string phrases;
-    for (int i = 0; i < 3000; ++i) phrases += "GET /api/v2/users 200 OK ";
-    inputs.push_back(std::move(phrases));      // repeated phrase
-  }
-  {
-    std::string abc;
-    for (int i = 0; i < 50000; ++i) abc.push_back("abc"[i % 3]);
-    inputs.push_back(std::move(abc));          // overlapping matches
-  }
-  {
-    Random random(41);
-    std::string noise;
-    for (int i = 0; i < 65536; ++i) {
-      noise.push_back(static_cast<char>(random.Next() & 0xFF));
-    }
-    inputs.push_back(std::move(noise));        // incompressible
-  }
-  {
-    Random random(43);
-    std::string mixed;
-    while (mixed.size() < 200000) {
-      if (random.Bernoulli(0.6)) {
-        mixed.append(1 + random.Uniform(100),
-                     static_cast<char>('a' + random.Uniform(26)));
-      } else {
-        for (size_t i = 0; i < 1 + random.Uniform(40); ++i) {
-          mixed.push_back(static_cast<char>(random.Next() & 0xFF));
-        }
-      }
-    }
-    inputs.push_back(std::move(mixed));        // mixed entropy
-  }
-  return inputs;
-}
-
 TEST(Lz4InteropTest, ReferenceDecodesOurOutput) {
   if (!HaveReference()) GTEST_SKIP() << "liblz4.so.1 not available";
-  for (const std::string& input : Corpus()) {
+  for (const std::string& input : Lz4Corpus()) {
     ByteBuffer ours;
     lz4::Compress(Slice(input), &ours);
     if (input.empty()) continue;  // reference rejects zero-size dst
@@ -104,7 +63,7 @@ TEST(Lz4InteropTest, ReferenceDecodesOurOutput) {
 
 TEST(Lz4InteropTest, WeDecodeReferenceOutput) {
   if (!HaveReference()) GTEST_SKIP() << "liblz4.so.1 not available";
-  for (const std::string& input : Corpus()) {
+  for (const std::string& input : Lz4Corpus()) {
     if (input.empty()) continue;
     std::vector<char> compressed(lz4::CompressBound(input.size()));
     int n = Reference().compress(input.data(), compressed.data(),

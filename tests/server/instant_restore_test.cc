@@ -576,6 +576,154 @@ TEST(InstantRestoreTest, RowMajorIngestOfAnotherTypeDuringRestoreKeepsRows) {
   leaf.Crash();
 }
 
+// Rows with a string `status`, after 70,000 rows where it is int64.
+std::vector<Row> RetypedRows(size_t n, int64_t start_time, uint64_t seed) {
+  std::vector<Row> rows = MakeRows(n, start_time, seed);
+  for (Row& row : rows) {
+    for (auto& [name, value] : row.fields) {
+      if (name == "status") value = std::string("ok");
+    }
+  }
+  return rows;
+}
+
+LeafServer::TableStats EventsStats(LeafServer& leaf) {
+  LeafServer::TableStats events;
+  for (const LeafServer::TableStats& stats : leaf.GetStats().tables) {
+    if (stats.name == "events") events = stats;
+  }
+  return events;
+}
+
+// 70,000 rows with an int64 `status`, a crash, an instant restore that
+// ingests `during` (`status` a string, or absent), a second crash, then a
+// blocking Start(). `status` has two types across blocks, so the full
+// query refuses it: the layout and a row count say what came back.
+void RetypeAcrossTwoCrashes(const std::string& name,
+                            const std::vector<std::vector<Row>>& during,
+                            LeafServer::TableStats* before,
+                            LeafServer::TableStats* after) {
+  ShmNamespace ns(name);
+  TempDir dir(name);
+  {
+    LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                               /*memory_recovery=*/false, /*instant=*/false));
+    ASSERT_TRUE(leaf.Start().ok());
+    IngestEvents(&leaf, 70000, 1000);
+    leaf.Crash();
+  }
+  {
+    LeafServerConfig config = MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                                         /*memory_recovery=*/false,
+                                         /*instant=*/true);
+    config.disk_throttle_bytes_per_sec =
+        FileSize(dir.path() + "/leaf_0/events.bak") * 2;
+    LeafServer leaf(config);
+    ASSERT_TRUE(leaf.Start().ok());
+    ASSERT_EQ(leaf.state(), LeafState::kRestoring);
+    for (const std::vector<Row>& batch : during) {
+      ASSERT_TRUE(leaf.AddRows("events", batch).ok());
+    }
+    WaitAlive(leaf);
+    *before = EventsStats(leaf);
+    leaf.Crash();
+  }
+  LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                             /*memory_recovery=*/false, /*instant=*/false));
+  auto started = leaf.Start();
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  *after = EventsStats(leaf);
+  Query count;
+  count.table = "events";
+  count.aggregates = {Count()};
+  auto result = leaf.ExecuteQuery(count);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<ResultRow> rows = result->Finalize(count.aggregates);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].aggregates[0], static_cast<double>(after->row_count));
+  leaf.Crash();
+}
+
+// The .bak records no seal, so the replay seals before the first record
+// it cannot append: after the type change above, a second crash recovers
+// every row, here with the live leaf's layout. Without that seal the
+// replay appends the string record onto the int64 tail and fails, and so
+// does the blocking Start().
+TEST(InstantRestoreTest, RowMajorTypeChangeSurvivesASecondCrash) {
+  LeafServer::TableStats before;
+  LeafServer::TableStats after;
+  RetypeAcrossTwoCrashes("ir_retype2", {RetypedRows(300, 90000, 5)}, &before,
+                         &after);
+  ASSERT_EQ(before.row_count, 70300u);
+  EXPECT_EQ(after.row_count, 70300u);
+  EXPECT_EQ(after.num_row_blocks, before.num_row_blocks);
+  EXPECT_EQ(after.buffered_rows, before.buffered_rows);
+}
+
+// The .bak does not record where the restore ended either. When the first
+// rows ingested during the restore lack the retyped field, the live leaf
+// seals the recovered tail ahead of them, but the replay appends them to
+// that tail (their `status` densified to int64 0, not "") and seals at the
+// first string record. Every row still comes back; the block boundary
+// moves by those rows.
+TEST(InstantRestoreTest, RowMajorTypeChangeAfterRowsWithoutTheFieldKeepsRows) {
+  std::vector<Row> untyped = MakeRows(100, 90000, /*seed=*/6);
+  for (Row& row : untyped) {
+    std::erase_if(row.fields,
+                  [](const auto& field) { return field.first == "status"; });
+  }
+  LeafServer::TableStats before;
+  LeafServer::TableStats after;
+  RetypeAcrossTwoCrashes("ir_retype3",
+                         {untyped, RetypedRows(200, 90010, 5)}, &before,
+                         &after);
+  ASSERT_EQ(before.row_count, 70300u);
+  EXPECT_EQ(before.buffered_rows, 300u);
+  EXPECT_EQ(after.row_count, 70300u);
+  EXPECT_EQ(after.num_row_blocks, before.num_row_blocks);
+  EXPECT_EQ(after.buffered_rows, 200u);
+}
+
+// A batch whose field type conflicts with the buffered column is refused
+// whole: none of its rows land in memory or in the .bak. The batch is
+// consistent in itself (its first rows lack `status`, the rest carry it as
+// a string), so the backup encoder alone would take it; checked only row
+// by row in the write buffer, its first two rows would land in memory,
+// the whole batch in the .bak, and the next Start() would fail on it.
+TEST(InstantRestoreTest, RejectedBatchReachesNeitherMemoryNorBackup) {
+  ShmNamespace ns("ir_reject");
+  TempDir dir("ir_reject");
+  {
+    LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                               /*memory_recovery=*/false, /*instant=*/false));
+    ASSERT_TRUE(leaf.Start().ok());
+    ASSERT_TRUE(leaf.AddRows("events", MakeRows(10)).ok());
+    std::vector<Row> conflicting = MakeRows(5, 2000, /*seed=*/7);
+    for (size_t i = 0; i < conflicting.size(); ++i) {
+      auto& fields = conflicting[i].fields;
+      for (auto it = fields.begin(); it != fields.end(); ++it) {
+        if (it->first != "status") continue;
+        if (i < 2) {
+          fields.erase(it);
+        } else {
+          it->second = std::string("ok");
+        }
+        break;
+      }
+    }
+    EXPECT_TRUE(leaf.AddRows("events", conflicting).IsInvalidArgument());
+    EXPECT_EQ(leaf.RowCount(), 10u);
+    leaf.Crash();
+  }
+  LeafServer leaf(MakeConfig(ns, dir, BackupFormatKind::kRowMajor,
+                             /*memory_recovery=*/false, /*instant=*/false));
+  auto started = leaf.Start();
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  EXPECT_EQ(started->source, RecoverySource::kDisk);
+  EXPECT_EQ(leaf.RowCount(), 10u);
+  leaf.Crash();
+}
+
 TEST(InstantRestoreTest, FreshLeafFallsThroughToBlockingPath) {
   ShmNamespace ns("ir_fresh");
   TempDir dir("ir_fresh");
