@@ -62,7 +62,8 @@ StatusOr<PathTimes> Measure(BenchEnv* env, uint64_t target_disk_bytes,
     Table* table = leaf_map.GetOrCreateTable("service_logs");
     while (writer.total_bytes_written() < target_disk_bytes) {
       std::vector<Row> batch = gen.NextBatch(8192);
-      SCUBA_RETURN_IF_ERROR(writer.AppendBatch("service_logs", batch));
+      SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::OfRows(batch));
+      SCUBA_RETURN_IF_ERROR(writer.AppendBatch("service_logs", schema, batch));
       SCUBA_RETURN_IF_ERROR(table->AddRows(batch, gen.current_time()));
     }
     SCUBA_RETURN_IF_ERROR(writer.SyncAll());

@@ -24,7 +24,9 @@
 //   F. Dashboard tail: the slowest dashboard panel (group by endpoint,
 //      P99(latency_ms), last 30 s) on a leaf whose write buffer is three
 //      quarters full, so the window's rows are buffered strings, not
-//      sealed dictionary codes.
+//      sealed dictionary codes. Also timed: the panel with Avg in place
+//      of P99 (its floor without percentile state) and an 8-way merge
+//      of the P99 partial (the aggregator's layer).
 //
 // Every row carries `result_digest`, a CRC32C over the finalized rows
 // (group keys + aggregate bit patterns, in Finalize's deterministic
@@ -569,6 +571,41 @@ int Run(const std::string& json_path, bool smoke) {
          1.0, q.aggregates);
     Emit(&json, "dashboard_tail", "by_endpoint_buffered", "vectorized", 1, vec,
          speedup, q.aggregates);
+
+    // The same panel with Avg in place of P99: its floor without
+    // percentile state.
+    Query avg_q = q;
+    avg_q.aggregates = {Count(), Avg("latency_ms")};
+    Timing avg_scalar = TimeScalar(*buffered, avg_q);
+    Timing avg = TimeVectorized(*buffered, avg_q, nullptr);
+    CheckAgainstScalar("by_endpoint_avg_buffered", avg_scalar.result,
+                       avg.result);
+    Emit(&json, "dashboard_tail", "by_endpoint_avg_buffered", "vectorized", 1,
+         avg, avg.millis > 0 ? avg_scalar.millis / avg.millis : 0.0,
+         avg_q.aggregates);
+
+    // The layer the aggregator adds: the P99 partial merged 8 ways, as
+    // from 8 leaves. The copies are made outside the timed region and
+    // moved in, as the aggregator moves each leaf's result.
+    constexpr int kMergeLeaves = 8;
+    Timing merge;
+    merge.millis = 1e30;
+    for (int i = 0; i <= g_timed_iters; ++i) {
+      std::vector<QueryResult> from_leaves(kMergeLeaves, vec.result);
+      QueryResult merged(q.aggregates);
+      const double ms = bench_util::TimedMillis([&] {
+        for (QueryResult& leaf : from_leaves) merged.Merge(std::move(leaf));
+      });
+      if (i > 0) merge.millis = std::min(merge.millis, ms);  // 0 = warm-up
+      merge.result = std::move(merged);
+    }
+    std::printf("avg in place of p99: %.3f ms; %d-way merge of the p99 "
+                "partial (%.1f KB): %.3f ms\n",
+                avg.millis, kMergeLeaves,
+                static_cast<double>(vec.result.EstimatedHeapBytes()) / 1024.0,
+                merge.millis);
+    Emit(&json, "dashboard_tail", "by_endpoint_merge8", "vectorized", 1, merge,
+         0.0, q.aggregates);
   }
 
   if (!json_path.empty()) {

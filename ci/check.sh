@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: build + test in Release, rebuild the query/columnar/compress/
-# disk/core suites under AddressSanitizer + UBSan, then rebuild the
-# concurrency-sensitive targets under ThreadSanitizer and run the
+# disk/core suites and the server suites that move query results between
+# leaf, aggregator and result cache under AddressSanitizer + UBSan, then
+# rebuild the concurrency-sensitive targets under ThreadSanitizer and run the
 # core/shm/util/disk/query suites (the restore engine's — blocking and
 # instant, every source — parallel copy and parallel query scan data-race
 # surface) and the compress/columnar suites (concurrent block builds).
@@ -214,17 +215,23 @@ cmake --build build-release -j "${JOBS}" --target health_alerts
 ./build-release/examples/health_alerts
 
 echo
-echo "=== ASan+UBSan build + query/columnar/compress/disk/core suites ==="
+echo "=== ASan+UBSan build + query/columnar/compress/disk/core/server suites ==="
 # SCUBA_ASAN makes every UBSan report fatal, so any report fails its suite.
 # disk_test and core_test cover the backup readers' offset arithmetic over
-# bytes read from disk.
+# bytes read from disk. Query results are moved from block partials into
+# the leaf's result, from leaves into the aggregator's and through the
+# result cache, so server_test's aggregator, cache and profile suites run
+# too (not ConcurrencyTest: it takes minutes even without sanitizers).
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSCUBA_ASAN=ON \
   >/dev/null
 cmake --build build-asan -j "${JOBS}" \
-  --target query_test columnar_test compress_test disk_test core_test
+  --target query_test columnar_test compress_test disk_test core_test \
+  server_test
 for suite in query_test columnar_test compress_test disk_test core_test; do
   "./build-asan/tests/${suite}" --gtest_brief=1
 done
+./build-asan/tests/server_test --gtest_brief=1 \
+  --gtest_filter='Aggregator*:ResultCache*:ProfileDeterminism*'
 
 echo
 echo "=== TSan build + core/shm/util/disk/query/obs/compress/columnar suites ==="

@@ -56,12 +56,11 @@ Status CheckFileHeader(Slice* input) {
   return Status::OK();
 }
 
-Status AppendRowBatchRecord(const std::vector<Row>& rows, ByteBuffer* out) {
+Status AppendRowBatchRecord(const Schema& schema, const std::vector<Row>& rows,
+                            ByteBuffer* out) {
   if (rows.empty()) {
     return Status::InvalidArgument("backup: empty row batch");
   }
-
-  SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::OfRows(rows));
 
   ByteBuffer payload;
   payload.AppendU8(kRecordTypeRowBatch);

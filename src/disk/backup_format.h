@@ -51,8 +51,11 @@ Status CheckFileHeader(Slice* input);
 
 /// Encodes one batch of rows as a record. Rows may have heterogeneous
 /// field sets; the record stores their union schema with defaults
-/// back-filled. Fails if any row lacks the "time" field or types conflict.
-Status AppendRowBatchRecord(const std::vector<Row>& rows, ByteBuffer* out);
+/// back-filled. `schema` must be that union, Schema::OfRows(rows), which
+/// the caller has built (and so checked) already: the leaf builds it once
+/// per ingested batch. Fails on an empty batch.
+Status AppendRowBatchRecord(const Schema& schema, const std::vector<Row>& rows,
+                            ByteBuffer* out);
 
 /// Reads the next record from `file` (positioned after the file header)
 /// and checks its CRC. Returns:

@@ -48,10 +48,12 @@ StatusOr<BackupWriter::TableFile*> BackupWriter::GetOrOpen(
 }
 
 Status BackupWriter::AppendBatch(const std::string& table,
+                                 const Schema& schema,
                                  const std::vector<Row>& rows) {
   SCUBA_ASSIGN_OR_RETURN(TableFile * entry, GetOrOpen(table));
   ByteBuffer record;
-  SCUBA_RETURN_IF_ERROR(backup_format::AppendRowBatchRecord(rows, &record));
+  SCUBA_RETURN_IF_ERROR(
+      backup_format::AppendRowBatchRecord(schema, rows, &record));
   SCUBA_RETURN_IF_ERROR(entry->file->Append(record.data(), record.size()));
   total_bytes_written_ += record.size();
   entry->dirty = true;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "columnar/row.h"
+#include "columnar/schema.h"
 #include "disk/file.h"
 #include "util/status.h"
 
@@ -29,8 +30,10 @@ class BackupWriter {
   Status Init() { return EnsureDir(dir_); }
 
   /// Appends a batch of rows to `table`'s backup file (creating it with a
-  /// file header on first use).
-  Status AppendBatch(const std::string& table, const std::vector<Row>& rows);
+  /// file header on first use). `schema` is the batch's union schema,
+  /// Schema::OfRows(rows).
+  Status AppendBatch(const std::string& table, const Schema& schema,
+                     const std::vector<Row>& rows);
 
   /// fsyncs every table file dirtied since its last sync.
   Status SyncAll();

@@ -188,10 +188,12 @@ Status ColumnarBackupWriter::OpenTail(const std::string& table,
 }
 
 Status ColumnarBackupWriter::AppendBatch(const std::string& table,
+                                         const Schema& schema,
                                          const std::vector<Row>& rows) {
   SCUBA_ASSIGN_OR_RETURN(TableState * state, GetOrInit(table));
   ByteBuffer record;
-  SCUBA_RETURN_IF_ERROR(backup_format::AppendRowBatchRecord(rows, &record));
+  SCUBA_RETURN_IF_ERROR(
+      backup_format::AppendRowBatchRecord(schema, rows, &record));
   SCUBA_RETURN_IF_ERROR(state->tail->Append(record.data(), record.size()));
   total_bytes_written_ += record.size();
   state->tail_dirty = true;

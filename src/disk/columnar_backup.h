@@ -54,7 +54,9 @@ class ColumnarBackupWriter {
   Status Init() { return EnsureDir(dir_); }
 
   /// Appends a batch of not-yet-sealed rows to the table's current tail.
-  Status AppendBatch(const std::string& table, const std::vector<Row>& rows);
+  /// `schema` is the batch's union schema, Schema::OfRows(rows).
+  Status AppendBatch(const std::string& table, const Schema& schema,
+                     const std::vector<Row>& rows);
 
   /// Mirrors a just-sealed row block to the .cols file and rotates the
   /// tail. Wire this as the table's SealObserver.

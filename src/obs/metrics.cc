@@ -27,7 +27,6 @@ uint64_t Histogram::BucketLowerBound(size_t i) {
 
 void Histogram::Record(uint64_t v) {
   Shard& s = shards_[ThreadShardIndex()];
-  s.count.fetch_add(1, std::memory_order_relaxed);
   s.sum.fetch_add(v, std::memory_order_relaxed);
   s.buckets[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
   uint64_t cur = s.min.load(std::memory_order_relaxed);
@@ -38,6 +37,10 @@ void Histogram::Record(uint64_t v) {
   while (v > cur &&
          !s.max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
+  // Counted last, with release: a snapshot that sees this sample counted
+  // (acquire) also sees it in min and max, so a shard's first sample never
+  // shows as count 1 with the empty min UINT64_MAX above max 0.
+  s.count.fetch_add(1, std::memory_order_release);
 }
 
 uint64_t Histogram::Snapshot::PercentileUpperBound(double p) const {
@@ -108,7 +111,7 @@ Histogram::Snapshot Histogram::TakeSnapshot() const {
   Snapshot out;
   for (const Shard& s : shards_) {
     Snapshot part;
-    part.count = s.count.load(std::memory_order_relaxed);
+    part.count = s.count.load(std::memory_order_acquire);
     if (part.count == 0) continue;
     part.sum = s.sum.load(std::memory_order_relaxed);
     part.min = s.min.load(std::memory_order_relaxed);

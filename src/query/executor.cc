@@ -1042,7 +1042,7 @@ StatusOr<QueryResult> LeafExecutor::Execute(const Table& table,
   Stopwatch merge_watch;
   {
     obs::PhaseTracer::Span merge_span(tracer, parent_span, "merge blocks");
-    for (const QueryResult& partial : partials) result.Merge(partial);
+    for (QueryResult& partial : partials) result.Merge(std::move(partial));
   }
   // Stamped after the block merge (partials carry no merge time of their
   // own, so the += below only ever adds the buffer partial's zero).
@@ -1077,7 +1077,7 @@ StatusOr<QueryResult> LeafExecutor::Execute(const Table& table,
         std::max<int64_t>(0, scan_watch.ElapsedMicros() - decode_micros);
     buffer_profile.bytes_decoded = decode_bytes;
     buffer_span.AddBytes(decode_bytes);
-    result.Merge(partial);
+    result.Merge(std::move(partial));
   }
   return result;
 }

@@ -14,8 +14,11 @@ namespace scuba {
 /// interpolation is approximate (bounded by the bucket ratio, ~5.5%).
 ///
 /// Geometry: 512 buckets spanning [kMinValue, kMaxValue) geometrically
-/// (1e-3 .. 1e9; values outside clamp to the edge buckets). Storage is
-/// lazy: a histogram that never sees a sample owns no memory.
+/// (1e-3 .. 1e9; values outside clamp to the edge buckets). Storage is a
+/// window: counts only for the buckets between the lowest and highest
+/// sample (plus some slack), so a group's partial costs what its samples
+/// span, not all 512 buckets. A histogram that never sees a sample owns no
+/// memory.
 class Histogram {
  public:
   static constexpr int kNumBuckets = 512;
@@ -34,11 +37,29 @@ class Histogram {
   /// bucket containing the p-th sample. Returns 0 for an empty histogram.
   double ValueAtPercentile(double p) const;
 
- private:
+  /// Bytes of bucket counts this histogram owns on the heap.
+  uint64_t HeapBytes() const { return counts_.capacity() * sizeof(uint64_t); }
+
+  /// Bucket of `value`: 0 for NaN and anything <= kMinValue,
+  /// kNumBuckets - 1 for anything >= kMaxValue, else
+  /// LogBucketFor(value), read from a table indexed by the double's
+  /// exponent and top mantissa bits.
   static int BucketFor(double value);
+  /// The defining formula, floor(log(value / kMinValue) / log(kMaxValue /
+  /// kMinValue) * kNumBuckets) clamped to the bucket range. It builds
+  /// BucketFor's table, and BucketFor must equal it for every double.
+  static int LogBucketFor(double value);
+  /// The value reported for any sample in `bucket`: the geometric
+  /// midpoint of its bounds.
   static double BucketMidpoint(int bucket);
 
-  std::vector<uint64_t> buckets_;  // empty until the first Add
+ private:
+  /// Grows the window to cover buckets [lo, hi), keeping its counts.
+  void Cover(int lo, int hi);
+
+  std::vector<uint64_t> counts_;  // buckets [lo_, lo_ + size); empty until
+                                  // the first Add or Merge
+  int lo_ = 0;
   uint64_t count_ = 0;
 };
 

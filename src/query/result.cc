@@ -121,16 +121,22 @@ void QueryResult::FoldGroup(std::vector<Value> group_key,
   }
 }
 
-void QueryResult::Merge(const QueryResult& other) {
+void QueryResult::Merge(QueryResult&& other) {
   if (ops_.empty()) ops_ = other.ops_;
-  for (const auto& [key, other_group] : other.groups_) {
-    auto [it, inserted] = groups_.try_emplace(key);
-    Group& group = it->second;
-    if (inserted) group.partials.resize(ops_.size());
-    for (size_t i = 0;
-         i < other_group.partials.size() && i < group.partials.size(); ++i) {
-      group.partials[i].Merge(other_group.partials[i]);
+  for (auto it = other.groups_.begin(); it != other.groups_.end();) {
+    auto mine = groups_.find(it->first);
+    if (mine == groups_.end()) {
+      auto node = other.groups_.extract(it++);
+      node.mapped().partials.resize(ops_.size());
+      groups_.insert(std::move(node));
+      continue;
     }
+    std::vector<AggPartial>& partials = mine->second.partials;
+    const std::vector<AggPartial>& other_partials = it->second.partials;
+    for (size_t i = 0; i < other_partials.size() && i < partials.size(); ++i) {
+      partials[i].Merge(other_partials[i]);
+    }
+    ++it;
   }
   rows_scanned += other.rows_scanned;
   rows_matched += other.rows_matched;
@@ -150,9 +156,7 @@ uint64_t QueryResult::EstimatedHeapBytes() const {
     }
     bytes += group.partials.size() * sizeof(AggPartial);
     for (const AggPartial& p : group.partials) {
-      if (!p.histogram.empty()) {
-        bytes += Histogram::kNumBuckets * sizeof(uint64_t);
-      }
+      bytes += p.histogram.HeapBytes();
     }
   }
   return bytes;

@@ -110,8 +110,14 @@ class QueryResult {
   void FoldGroup(std::vector<Value> group_key,
                  std::vector<AggPartial> partials);
 
-  /// Merges another leaf's partial result (same query shape).
-  void Merge(const QueryResult& other);
+  /// Merges another partial result of the same query shape: a block's
+  /// into its leaf's, a leaf's into the aggregator's, a cached segment's
+  /// into its composition. Groups this result does not hold yet take the
+  /// other side's key and partials as they are, which equals merging them
+  /// into fresh partials (a sum that starts at +0.0 never becomes -0.0,
+  /// histogram counts add exactly). Callers that still need `other` pass a
+  /// copy.
+  void Merge(QueryResult&& other);
 
   /// Finalized rows ordered by group key; `limit` 0 = all.
   std::vector<ResultRow> Finalize(const std::vector<Aggregate>& aggregates,
@@ -120,8 +126,8 @@ class QueryResult {
   size_t num_groups() const { return groups_.size(); }
 
   /// Rough heap footprint of the accumulated groups (keys + partials +
-  /// lazy percentile histograms). The aggregator's result cache charges
-  /// each stored partial against its byte budget with this.
+  /// the percentile histograms' bucket windows). The aggregator's result
+  /// cache charges each stored partial against its byte budget with this.
   uint64_t EstimatedHeapBytes() const;
 
   // Scan / pruning statistics (summed on merge). These are the historical

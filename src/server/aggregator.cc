@@ -257,7 +257,7 @@ StatusOr<QueryResult> Aggregator::ExecuteLeaf(LeafServer* leaf,
       QueryResult cached;
       if (result_cache_->Lookup(key, &cached)) {
         ++hit_buckets;
-        composed.Merge(cached);
+        composed.Merge(std::move(cached));
         return Status::OK();
       }
       ++miss_buckets;
@@ -277,7 +277,7 @@ StatusOr<QueryResult> Aggregator::ExecuteLeaf(LeafServer* leaf,
         !leaf->WriteBufferOverlaps(query.table, begin, end)) {
       result_cache_->Store(key, leaf_id, query.table, epoch, partial);
     }
-    composed.Merge(partial);
+    composed.Merge(std::move(partial));
     return Status::OK();
   };
 
@@ -393,7 +393,7 @@ StatusOr<QueryResult> Aggregator::ExecuteInternal(const Query& query,
         metrics.fanout_queue_wait_micros->Record(
             static_cast<uint64_t>(queue_wait[i]));
       }
-      merged.Merge(*result);
+      merged.Merge(std::move(*result));
       ++merged.leaves_responded;
     }
   }

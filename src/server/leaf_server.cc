@@ -111,11 +111,13 @@ void LeafServer::InstallSealObserver(Table* table) {
   });
 }
 
-Status LeafServer::BackupBatch(const std::string& table,
+Status LeafServer::BackupBatch(const std::string& table, const Schema& schema,
                                const std::vector<Row>& rows) {
   if (config_.backup_dir.empty()) return Status::OK();
-  if (UsesColumnarBackup()) return columnar_writer_.AppendBatch(table, rows);
-  return backup_writer_.AppendBatch(table, rows);
+  if (UsesColumnarBackup()) {
+    return columnar_writer_.AppendBatch(table, schema, rows);
+  }
+  return backup_writer_.AppendBatch(table, schema, rows);
 }
 
 Status LeafServer::SyncBackups() {
@@ -523,7 +525,7 @@ Status LeafServer::AddRowsLocked(const std::string& table,
   // durability is the shm handoff, and their contents are regenerated by
   // the next process anyway — a disk copy would only amplify every export
   // into disk writes.
-  if (!system) SCUBA_RETURN_IF_ERROR(BackupBatch(table, rows));
+  if (!system) SCUBA_RETURN_IF_ERROR(BackupBatch(table, schema, rows));
   size_t blocks_before = t->num_row_blocks();
   SCUBA_RETURN_IF_ERROR(t->AddRows(rows, clock()->NowUnixSeconds()));
 
@@ -532,8 +534,10 @@ Status LeafServer::AddRowsLocked(const std::string& table,
   // from the write buffer so blocks + tail always cover every row.
   if (!system && UsesColumnarBackup() &&
       t->num_row_blocks() != blocks_before && !t->write_buffer().empty()) {
-    SCUBA_RETURN_IF_ERROR(columnar_writer_.AppendBatch(
-        table, t->write_buffer().MaterializeRows()));
+    std::vector<Row> tail = t->write_buffer().MaterializeRows();
+    SCUBA_ASSIGN_OR_RETURN(Schema tail_schema, Schema::OfRows(tail));
+    SCUBA_RETURN_IF_ERROR(
+        columnar_writer_.AppendBatch(table, tail_schema, tail));
   }
   if (!system) {
     // Self-amplification guard: the exporter's own inserts must not move

@@ -349,7 +349,9 @@ class LeafServer {
   /// Installs the columnar backup's seal observer on `table` (no-op for
   /// system tables, which are never backed up to disk).
   void InstallSealObserver(Table* table);
-  Status BackupBatch(const std::string& table, const std::vector<Row>& rows);
+  /// Backs up one checked batch; `schema` is its Schema::OfRows union.
+  Status BackupBatch(const std::string& table, const Schema& schema,
+                     const std::vector<Row>& rows);
   Status SyncBackups();
   /// Shared insert body; callers hold mutex_. `system` marks the leaf's
   /// own `__scuba*` writes: no disk backup, no ingestion-metric updates,

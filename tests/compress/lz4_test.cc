@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/random.h"
@@ -55,6 +56,47 @@ TEST(Lz4Test, IncompressibleDataRoundTrips) {
     input.push_back(static_cast<char>(random.Next() & 0xFF));
   }
   EXPECT_EQ(RoundTrip(input), input);
+}
+
+std::string CompressToString(const std::string& input) {
+  ByteBuffer compressed;
+  lz4::Compress(Slice(input), &compressed);
+  return std::string(reinterpret_cast<const char*>(compressed.data()),
+                     compressed.size());
+}
+
+// The bytes a thread that has never compressed anything produces.
+std::string CompressOnFreshThread(const std::string& input) {
+  std::string out;
+  std::thread([&] { out = CompressToString(input); }).join();
+  return out;
+}
+
+TEST(Lz4Test, RepeatedCallsOnOneThreadMatchFreshThread) {
+  // The hash table is per thread and outlives each call. Whatever earlier
+  // calls left in it, large and small inputs in any order must compress
+  // to a fresh thread's bytes.
+  Random random(17);
+  auto text = [&](size_t n, int alphabet) {
+    std::string s;
+    for (size_t i = 0; i < n; ++i) {
+      s.push_back(static_cast<char>('a' + random.Uniform(alphabet)));
+    }
+    return s;
+  };
+  std::string phrase_run;
+  while (phrase_run.size() < 70000) phrase_run += "GET /api/v2/users 200 ";
+  const std::vector<std::string> inputs = {
+      text(65536, 4), text(16, 2),      text(300, 6), phrase_run,
+      text(1000, 3),  text(100000, 20), text(300, 6), text(65536, 4)};
+  std::vector<std::string> want;
+  for (const std::string& s : inputs) want.push_back(CompressOnFreshThread(s));
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_EQ(CompressToString(inputs[i]), want[i])
+          << "round " << round << " input " << i;
+    }
+  }
 }
 
 TEST(Lz4Test, CompressBoundHolds) {

@@ -27,7 +27,9 @@ void FillAndBackup(LeafMap* leaf_map, const std::string& backup_dir,
   BackupWriter writer(backup_dir);
   ASSERT_TRUE(writer.Init().ok());
   std::vector<Row> data = MakeRows(rows, 1000);
-  ASSERT_TRUE(writer.AppendBatch("events", data).ok());
+  auto schema = Schema::OfRows(data);
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(writer.AppendBatch("events", *schema, data).ok());
   ASSERT_TRUE(writer.SyncAll().ok());
   Table* table = leaf_map->GetOrCreateTable("events");
   ASSERT_TRUE(table->AddRows(data, 0).ok());

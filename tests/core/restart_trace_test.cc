@@ -210,7 +210,10 @@ TEST(RestartTraceTest, DiskRecoveryTimelineHasReadAndTranslate) {
   {
     BackupWriter writer(dir.path());
     ASSERT_TRUE(writer.Init().ok());
-    ASSERT_TRUE(writer.AppendBatch("events", MakeRows(300, 1000)).ok());
+    const std::vector<Row> rows = MakeRows(300, 1000);
+    auto schema = Schema::OfRows(rows);
+    ASSERT_TRUE(schema.ok());
+    ASSERT_TRUE(writer.AppendBatch("events", *schema, rows).ok());
     ASSERT_TRUE(writer.SyncAll().ok());
   }
   RestartManager manager(config);

@@ -46,6 +46,13 @@ const std::vector<T>& Column(const backup_format::RowBatch& batch,
   return std::get<std::vector<T>>(batch.columns[c]);
 }
 
+// Encodes `rows` as the leaf does: their union schema first (which rejects
+// untimed rows and conflicting types), then the record.
+Status Encode(const std::vector<Row>& rows, ByteBuffer* out) {
+  SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::OfRows(rows));
+  return backup_format::AppendRowBatchRecord(schema, rows, out);
+}
+
 // The batch's row count: the length of its time column.
 size_t NumRows(const backup_format::RowBatch& batch) {
   return Column<int64_t>(batch, "time").size();
@@ -71,7 +78,7 @@ TEST(BackupFormatTest, RowBatchRoundTrip) {
   TempDir dir("bf_roundtrip");
   std::vector<Row> rows = MakeRows(50, 777);
   ByteBuffer buf;
-  ASSERT_TRUE(backup_format::AppendRowBatchRecord(rows, &buf).ok());
+  ASSERT_TRUE(Encode(rows, &buf).ok());
 
   ChunkedFileReader file = OpenBytes(dir, buf);
   backup_format::RowBatch batch;
@@ -106,7 +113,7 @@ TEST(BackupFormatTest, HeterogeneousRowsDensify) {
   rows.push_back(b);
 
   ByteBuffer buf;
-  ASSERT_TRUE(backup_format::AppendRowBatchRecord(rows, &buf).ok());
+  ASSERT_TRUE(Encode(rows, &buf).ok());
   ChunkedFileReader file = OpenBytes(dir, buf);
   backup_format::RowBatch batch;
   ASSERT_TRUE(ReadBatch(&file, &batch).ok());
@@ -121,16 +128,14 @@ TEST(BackupFormatTest, HeterogeneousRowsDensify) {
 
 TEST(BackupFormatTest, EmptyBatchRejected) {
   ByteBuffer buf;
-  EXPECT_TRUE(
-      backup_format::AppendRowBatchRecord({}, &buf).IsInvalidArgument());
+  EXPECT_TRUE(Encode({}, &buf).IsInvalidArgument());
 }
 
 TEST(BackupFormatTest, RowWithoutTimeRejected) {
   Row row;
   row.Set("x", int64_t{1});
   ByteBuffer buf;
-  EXPECT_TRUE(
-      backup_format::AppendRowBatchRecord({row}, &buf).IsInvalidArgument());
+  EXPECT_TRUE(Encode({row}, &buf).IsInvalidArgument());
 }
 
 TEST(BackupFormatTest, ConflictingTypesRejected) {
@@ -141,8 +146,7 @@ TEST(BackupFormatTest, ConflictingTypesRejected) {
   b.SetTime(2);
   b.Set("v", std::string("one"));
   ByteBuffer buf;
-  EXPECT_TRUE(
-      backup_format::AppendRowBatchRecord({a, b}, &buf).IsInvalidArgument());
+  EXPECT_TRUE(Encode({a, b}, &buf).IsInvalidArgument());
 }
 
 TEST(BackupFormatTest, EndOfInputIsNotFound) {
@@ -156,7 +160,7 @@ TEST(BackupFormatTest, TornRecordIsCorruption) {
   TempDir dir("bf_torn");
   std::vector<Row> rows = MakeRows(20);
   ByteBuffer buf;
-  ASSERT_TRUE(backup_format::AppendRowBatchRecord(rows, &buf).ok());
+  ASSERT_TRUE(Encode(rows, &buf).ok());
   for (size_t keep : {size_t{4}, size_t{8}, size_t{20}, buf.size() - 1}) {
     ChunkedFileReader file = OpenBytes(dir, buf, keep);
     Slice payload;
@@ -168,7 +172,7 @@ TEST(BackupFormatTest, TornRecordIsCorruption) {
 TEST(BackupFormatTest, LengthPastEndOfFileIsCorruption) {
   TempDir dir("bf_len");
   ByteBuffer buf;
-  ASSERT_TRUE(backup_format::AppendRowBatchRecord(MakeRows(20), &buf).ok());
+  ASSERT_TRUE(Encode(MakeRows(20), &buf).ok());
   // A length no file this size can hold: rejected from the file's size,
   // not by trying to read (or allocate) 4 GiB.
   buf.data()[0] = 0xF0;
@@ -183,7 +187,7 @@ TEST(BackupFormatTest, PayloadBitFlipFailsCrc) {
   TempDir dir("bf_crc");
   std::vector<Row> rows = MakeRows(20);
   ByteBuffer buf;
-  ASSERT_TRUE(backup_format::AppendRowBatchRecord(rows, &buf).ok());
+  ASSERT_TRUE(Encode(rows, &buf).ok());
   buf.data()[buf.size() / 2] ^= 0x10;
   ChunkedFileReader file = OpenBytes(dir, buf);
   Slice payload;
@@ -192,7 +196,7 @@ TEST(BackupFormatTest, PayloadBitFlipFailsCrc) {
 
 TEST(BackupFormatTest, TruncatedPayloadFailsDecode) {
   ByteBuffer buf;
-  ASSERT_TRUE(backup_format::AppendRowBatchRecord(MakeRows(20), &buf).ok());
+  ASSERT_TRUE(Encode(MakeRows(20), &buf).ok());
   // A payload whose CRC would match but whose values run out: every cut
   // short of the whole payload is Corruption, never a short batch.
   Slice payload(buf.data() + 8, buf.size() - 8);
@@ -223,10 +227,8 @@ TEST(BackupFormatTest, RowCountBeyondPayloadIsCorruption) {
 TEST(BackupFormatTest, MultipleRecordsDecodeInOrder) {
   TempDir dir("bf_multi");
   ByteBuffer buf;
-  ASSERT_TRUE(
-      backup_format::AppendRowBatchRecord(MakeRows(5, 100), &buf).ok());
-  ASSERT_TRUE(
-      backup_format::AppendRowBatchRecord(MakeRows(7, 200), &buf).ok());
+  ASSERT_TRUE(Encode(MakeRows(5, 100), &buf).ok());
+  ASSERT_TRUE(Encode(MakeRows(7, 200), &buf).ok());
   ChunkedFileReader file = OpenBytes(dir, buf);
   backup_format::RowBatch first, second;
   ASSERT_TRUE(ReadBatch(&file, &first).ok());
@@ -244,9 +246,7 @@ TEST(BackupFormatTest, RecordsLargerThanAPieceStream) {
   // first 1 MiB piece.
   ByteBuffer buf;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(backup_format::AppendRowBatchRecord(
-                    MakeRows(40000, 1000 * (i + 1)), &buf)
-                    .ok());
+    ASSERT_TRUE(Encode(MakeRows(40000, 1000 * (i + 1)), &buf).ok());
   }
   ASSERT_GT(buf.size(), ChunkedFileReader::kPieceBytes);
   ChunkedFileReader file = OpenBytes(dir, buf);

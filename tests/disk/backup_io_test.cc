@@ -18,6 +18,13 @@ using testing_util::MakeRows;
 using testing_util::ShmNamespace;
 using testing_util::TempDir;
 
+// Appends `rows` under their union schema, as the leaf does.
+Status AppendBatch(BackupWriter* writer, const std::string& table,
+                   const std::vector<Row>& rows) {
+  SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::OfRows(rows));
+  return writer->AppendBatch(table, schema, rows);
+}
+
 // Blocking disk recovery of every .bak file in `dir` — the path a leaf
 // takes after a crash.
 RecoveryResult RecoverBackups(const TempDir& dir, LeafMap* leaf_map,
@@ -39,8 +46,8 @@ TEST(BackupWriterTest, WritesAndTracksDirtyTables) {
   BackupWriter writer(dir.path());
   ASSERT_TRUE(writer.Init().ok());
 
-  ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100)).ok());
-  ASSERT_TRUE(writer.AppendBatch("errors", MakeRows(10)).ok());
+  ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100)).ok());
+  ASSERT_TRUE(AppendBatch(&writer, "errors", MakeRows(10)).ok());
   EXPECT_EQ(writer.dirty_table_count(), 2u);
   EXPECT_GT(writer.total_bytes_written(), 0u);
 
@@ -56,9 +63,9 @@ TEST(BackupRoundTripTest, RecoverLeafRebuildsTables) {
   {
     BackupWriter writer(dir.path());
     ASSERT_TRUE(writer.Init().ok());
-    ASSERT_TRUE(writer.AppendBatch("events", MakeRows(500, 1000)).ok());
-    ASSERT_TRUE(writer.AppendBatch("events", MakeRows(500, 2000)).ok());
-    ASSERT_TRUE(writer.AppendBatch("errors", MakeRows(42, 1000)).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(500, 1000)).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(500, 2000)).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "errors", MakeRows(42, 1000)).ok());
     ASSERT_TRUE(writer.SyncAll().ok());
   }
 
@@ -85,8 +92,8 @@ TEST(BackupRoundTripTest, TornTailKeepsPrefix) {
   {
     BackupWriter writer(dir.path());
     ASSERT_TRUE(writer.Init().ok());
-    ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100, 1000)).ok());
-    ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100, 2000)).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100, 1000)).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100, 2000)).ok());
     ASSERT_TRUE(writer.SyncAll().ok());
     path = writer.FilePathFor("events");
   }
@@ -111,7 +118,7 @@ TEST(BackupRoundTripTest, StatsSplitReadAndTranslate) {
     ASSERT_TRUE(writer.Init().ok());
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE(
-          writer.AppendBatch("events", MakeRows(1000, 1000 + i)).ok());
+          AppendBatch(&writer, "events", MakeRows(1000, 1000 + i)).ok());
     }
     ASSERT_TRUE(writer.SyncAll().ok());
   }
@@ -128,7 +135,7 @@ TEST(BackupRoundTripTest, ThrottleSlowsRead) {
   {
     BackupWriter writer(dir.path());
     ASSERT_TRUE(writer.Init().ok());
-    ASSERT_TRUE(writer.AppendBatch("events", MakeRows(5000, 1000)).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(5000, 1000)).ok());
     ASSERT_TRUE(writer.SyncAll().ok());
   }
   uint64_t file_bytes = FileSize(dir.path() + "/events.bak");
@@ -154,7 +161,7 @@ TEST(BackupRoundTripTest, RecoveryAppliesRetentionLimits) {
   {
     BackupWriter writer(dir.path());
     ASSERT_TRUE(writer.Init().ok());
-    ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100, 1000)).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100, 1000)).ok());
     ASSERT_TRUE(writer.SyncAll().ok());
   }
   LeafMap leaf_map;
@@ -168,12 +175,12 @@ TEST(BackupRoundTripTest, CorruptLengthKeepsPrefix) {
   TempDir dir("bw8");
   BackupWriter writer(dir.path());
   ASSERT_TRUE(writer.Init().ok());
-  ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100, 1000)).ok());
+  ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100, 1000)).ok());
   ASSERT_TRUE(writer.SyncAll().ok());
   const std::string path = writer.FilePathFor("events");
   const uint64_t second_record = FileSize(path);
-  ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100, 2000)).ok());
-  ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100, 3000)).ok());
+  ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100, 2000)).ok());
+  ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100, 3000)).ok());
   ASSERT_TRUE(writer.SyncAll().ok());
 
   // The second record's length field now points ~4 GiB past the end.
@@ -197,13 +204,13 @@ TEST(BackupRoundTripTest, ReadStopsAtTheSizeTheRestoreBeganWith) {
   TempDir dir("bw9");
   BackupWriter writer(dir.path());
   ASSERT_TRUE(writer.Init().ok());
-  ASSERT_TRUE(writer.AppendBatch("events", MakeRows(100, 1000)).ok());
+  ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(100, 1000)).ok());
   ASSERT_TRUE(writer.SyncAll().ok());
   const std::string path = writer.FilePathFor("events");
   const uint64_t at_open = FileSize(path);
   // Rows the leaf ingests after the restore began land in the file too;
   // the leaf holds them already, so recovery must not replay them.
-  ASSERT_TRUE(writer.AppendBatch("events", MakeRows(50, 2000)).ok());
+  ASSERT_TRUE(AppendBatch(&writer, "events", MakeRows(50, 2000)).ok());
   ASSERT_TRUE(writer.SyncAll().ok());
 
   Table table("events");
@@ -310,7 +317,7 @@ TEST(BackupRoundTripTest, RecoveryMatchesAddRowsOnShiftingSparseBatches) {
       boundary_inside_record = true;
     }
     total += n;
-    ASSERT_TRUE(writer.AppendBatch("events", rows).ok());
+    ASSERT_TRUE(AppendBatch(&writer, "events", rows).ok());
     ASSERT_TRUE(reference.AddRows(Densify(rows), 77).ok());
   }
   ASSERT_TRUE(boundary_inside_record);

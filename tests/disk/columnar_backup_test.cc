@@ -19,6 +19,13 @@ using testing_util::MakeRows;
 using testing_util::ShmNamespace;
 using testing_util::TempDir;
 
+// Appends `rows` under their union schema, as the leaf does.
+Status AppendBatch(ColumnarBackupWriter* writer, const std::string& table,
+                   const std::vector<Row>& rows) {
+  SCUBA_ASSIGN_OR_RETURN(Schema schema, Schema::OfRows(rows));
+  return writer->AppendBatch(table, schema, rows);
+}
+
 // Drives the writer the way a LeafServer does: batches to the tail, seal
 // observer mirroring blocks.
 class ColumnarHarness {
@@ -32,7 +39,7 @@ class ColumnarHarness {
   }
 
   void AddBatch(const std::vector<Row>& rows) {
-    ASSERT_TRUE(writer_.AppendBatch("events", rows).ok());
+    ASSERT_TRUE(AppendBatch(&writer_, "events", rows).ok());
     ASSERT_TRUE(table_.AddRows(rows, 0).ok());
   }
 
@@ -178,9 +185,11 @@ TEST(ColumnarBackupTest, StaleTailIgnoredAfterCrashMidSeal) {
     header.AppendU16(0);
     header.AppendU64(0);
     ByteBuffer record;
-    ASSERT_TRUE(backup_format::AppendRowBatchRecord(MakeRows(500, 1000),
-                                                    &record)
-                    .ok());
+    const std::vector<Row> rows = MakeRows(500, 1000);
+    auto schema = Schema::OfRows(rows);
+    ASSERT_TRUE(schema.ok());
+    ASSERT_TRUE(
+        backup_format::AppendRowBatchRecord(*schema, rows, &record).ok());
     ASSERT_TRUE(stale->Append(header.data(), header.size()).ok());
     ASSERT_TRUE(stale->Append(record.data(), record.size()).ok());
   }
@@ -297,7 +306,7 @@ TEST(ColumnarBackupTest, RecoverLeafMultipleTables) {
       table.SetSealObserver([&writer, name](const RowBlock& block) {
         return writer.OnBlockSealed(name, block);
       });
-      ASSERT_TRUE(writer.AppendBatch(name, MakeRows(250, 1000)).ok());
+      ASSERT_TRUE(AppendBatch(&writer, name, MakeRows(250, 1000)).ok());
       ASSERT_TRUE(table.AddRows(MakeRows(250, 1000), 0).ok());
       ASSERT_TRUE(table.SealWriteBuffer(0).ok());
     }

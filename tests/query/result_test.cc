@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <vector>
+
 namespace scuba {
 namespace {
 
@@ -140,7 +144,7 @@ TEST(QueryResultTest, MergeCombinesGroupsAndStats) {
   b.Accumulate({Value(std::string("web"))}, {CountSample(), SampleOf(30.0)});
   b.Accumulate({Value(std::string("db"))}, {CountSample(), SampleOf(5.0)});
 
-  a.Merge(b);
+  a.Merge(std::move(b));
   EXPECT_EQ(a.rows_scanned, 150u);
   EXPECT_EQ(a.blocks_pruned, 2u);
   EXPECT_EQ(a.leaves_total, 2u);
@@ -168,10 +172,39 @@ TEST(QueryResultTest, MergeIntoEmptyAdoptsShape) {
   QueryResult empty;
   QueryResult b(1);
   b.Accumulate({Value(int64_t{1})}, {SampleOf(2.0)});
-  empty.Merge(b);
+  empty.Merge(std::move(b));
   EXPECT_EQ(empty.num_groups(), 1u);
   auto rows = empty.Finalize({Sum("x")});
   EXPECT_EQ(rows[0].aggregates[0], 2.0);
+}
+
+TEST(QueryResultTest, GroupsMovedInFinalizeBitForBit) {
+  // A group the result lacks is moved in whole. It must finalize exactly as
+  // the source does, as merging it into fresh partials always did: sums
+  // start at +0.0 (so -0.0 samples leave no -0.0 sum to flip), min/max are
+  // copied and histogram counts add exactly.
+  const std::vector<Aggregate> aggregates = {
+      Count(), Sum("x"), Min("x"), Max("x"), P50("x"), P99("x")};
+  QueryResult source(aggregates);
+  for (int i = 0; i < 300; ++i) {
+    const double v = i % 5 == 0 ? -0.0 : std::ldexp(1.0 + i, (i % 40) - 20);
+    source.Accumulate({Value(int64_t{i % 7})},
+                      {CountSample(), SampleOf(v), SampleOf(v), SampleOf(v),
+                       SampleOf(v), SampleOf(v)});
+  }
+  const std::vector<ResultRow> want = source.Finalize(aggregates);
+  QueryResult merged(aggregates);
+  merged.Merge(std::move(source));
+  const std::vector<ResultRow> got = merged.Finalize(aggregates);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r].group_key, want[r].group_key);
+    for (size_t a = 0; a < aggregates.size(); ++a) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[r].aggregates[a]),
+                std::bit_cast<uint64_t>(want[r].aggregates[a]))
+          << "row " << r << " aggregate " << a;
+    }
+  }
 }
 
 TEST(QueryResultTest, StringKeysWithEmbeddedTerminators) {

@@ -273,6 +273,44 @@ TEST_F(ResultCacheTest, CacheStaysWithinByteBudgetOverManyCycles) {
   EXPECT_GT(stats.entries, 0u);
 }
 
+TEST_F(ResultCacheTest, PercentilePartialsAreChargedTheirWindow) {
+  LeafServer* leaf = StartLeaf(0);
+  std::vector<Row> rows = SecondRows(600, kT0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i].Set("latency_ms", 20.0 + static_cast<double>(i % 7));
+  }
+  ASSERT_TRUE(leaf->AddRows("events", rows).ok());
+  leaf = RestartLeaf(0);  // seal everything
+
+  Query q = DashboardQuery();
+  q.aggregates = {Count(), P99("latency_ms")};
+  MustExecute(q);
+  const ResultCache::Stats stats = cache()->GetStats();
+  ASSERT_EQ(stats.entries, 10u);
+
+  // Each entry is charged its partial's estimate, whose histograms count
+  // only their bucket windows: the 30 samples of a (minute, service) group
+  // span 20..26 ms, a handful of buckets.
+  uint64_t expected = 0;
+  for (int64_t b = 0; b < 10; ++b) {
+    Query segment = q;
+    segment.begin_time = kT0 + 60 * b;
+    segment.end_time = segment.begin_time + 59;
+    auto partial = leaf->ExecuteQuery(segment);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    ASSERT_EQ(partial->num_groups(), 2u);
+    expected += partial->EstimatedHeapBytes() +
+                ResultCache::SegmentKey(0, leaf->instance_token(), q,
+                                        segment.begin_time)
+                    .size();
+  }
+  EXPECT_EQ(stats.bytes, expected);
+  // A dense histogram per group would be 4 KiB each: 80 KiB over 20 groups.
+  const uint64_t dense =
+      stats.entries * 2 * Histogram::kNumBuckets * sizeof(uint64_t);
+  EXPECT_LT(stats.bytes, dense / 4);
+}
+
 // --- direct unit tests -----------------------------------------------------
 
 QueryResult MakeSmallResult(double count) {
